@@ -31,14 +31,16 @@ int main(int argc, char** argv) {
     const std::uint64_t steps = frontier_steps(budget, m, 1.0);
     if (steps == 0) continue;
     const FrontierSampler fs(g, {.dimension = m, .steps = steps});
-    MseAccumulator acc = parallel_accumulate<MseAccumulator>(
-        runs, cfg.seed + m, [&] { return MseAccumulator(truth); },
-        [&](std::size_t, Rng& rng, MseAccumulator& out) {
+    const ReplicationRunner runner(runs, cfg.seed + m, cfg.threads);
+    MseAccumulator acc = runner.map_reduce(
+        MseAccumulator(truth),
+        [&](std::size_t, Rng& rng) {
+          MseAccumulator out(truth);
           out.add_run(ccdf_from_pdf(estimate_degree_distribution(
               g, fs.run(rng).edges, DegreeKind::kIn)));
+          return out;
         },
-        [](MseAccumulator& a, const MseAccumulator& b) { a.merge(b); },
-        cfg.threads);
+        [](MseAccumulator& a, MseAccumulator&& b) { a.merge(b); });
     const auto curve = acc.normalized_rmse();
     std::vector<double> at_display;
     for (std::uint32_t d :

@@ -42,22 +42,26 @@ int main(int argc, char** argv) {
   const auto mean_curve =
       [&](const std::function<std::vector<Edge>(Rng&)>& run,
           std::uint64_t salt) {
-        Acc acc = parallel_accumulate<Acc>(
-            runs, cfg.seed + salt,
-            [&] { return Acc{std::vector<double>(checkpoints.size(), 0.0)}; },
-            [&](std::size_t, Rng& rng, Acc& out) {
+        const auto make_acc = [&] {
+          return Acc{std::vector<double>(checkpoints.size(), 0.0)};
+        };
+        const ReplicationRunner runner(runs, cfg.seed + salt, cfg.threads);
+        Acc acc = runner.map_reduce(
+            make_acc(),
+            [&](std::size_t, Rng& rng) {
+              Acc out = make_acc();
               const auto curve = coverage_curve(g, run(rng), checkpoints);
               for (std::size_t i = 0; i < checkpoints.size(); ++i) {
                 out.sums[i] +=
                     static_cast<double>(curve.distinct_vertices[i]);
               }
+              return out;
             },
-            [](Acc& a, const Acc& b) {
+            [](Acc& a, Acc&& b) {
               for (std::size_t i = 0; i < a.sums.size(); ++i) {
                 a.sums[i] += b.sums[i];
               }
-            },
-            cfg.threads);
+            });
         std::vector<double> mean(checkpoints.size());
         for (std::size_t i = 0; i < mean.size(); ++i) {
           mean[i] = acc.sums[i] / static_cast<double>(runs);

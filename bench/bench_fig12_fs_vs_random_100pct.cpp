@@ -32,13 +32,15 @@ int main(int argc, char** argv) {
   const auto run_curve =
       [&](const std::function<std::vector<double>(Rng&)>& estimate,
           std::uint64_t salt) {
-        MseAccumulator acc = parallel_accumulate<MseAccumulator>(
-            runs, cfg.seed + salt, [&] { return MseAccumulator(theta); },
-            [&](std::size_t, Rng& rng, MseAccumulator& out) {
+        const ReplicationRunner runner(runs, cfg.seed + salt, cfg.threads);
+        MseAccumulator acc = runner.map_reduce(
+            MseAccumulator(theta),
+            [&](std::size_t, Rng& rng) {
+              MseAccumulator out(theta);
               out.add_run(estimate(rng));
+              return out;
             },
-            [](MseAccumulator& a, const MseAccumulator& b) { a.merge(b); },
-            cfg.threads);
+            [](MseAccumulator& a, MseAccumulator&& b) { a.merge(b); });
         return acc.normalized_rmse();
       };
 

@@ -44,13 +44,15 @@ int main(int argc, char** argv) {
   const auto run_curve =
       [&](const std::function<std::vector<double>(Rng&)>& estimate,
           std::uint64_t salt) {
-        MseAccumulator acc = parallel_accumulate<MseAccumulator>(
-            runs, cfg.seed + salt, [&] { return MseAccumulator(truth); },
-            [&](std::size_t, Rng& rng, MseAccumulator& out) {
+        const ReplicationRunner runner(runs, cfg.seed + salt, cfg.threads);
+        MseAccumulator acc = runner.map_reduce(
+            MseAccumulator(truth),
+            [&](std::size_t, Rng& rng) {
+              MseAccumulator out(truth);
               out.add_run(ccdf_from_pdf(estimate(rng)));
+              return out;
             },
-            [](MseAccumulator& a, const MseAccumulator& b) { a.merge(b); },
-            cfg.threads);
+            [](MseAccumulator& a, MseAccumulator&& b) { a.merge(b); });
         return acc.normalized_rmse();
       };
 

@@ -48,14 +48,16 @@ int main(int argc, char** argv) {
   const auto run_curve =
       [&](const std::function<std::vector<Edge>(Rng&)>& sample,
           std::uint64_t salt) {
-        MseAccumulator acc = parallel_accumulate<MseAccumulator>(
-            runs, cfg.seed + salt, [&] { return MseAccumulator(truth); },
-            [&](std::size_t, Rng& rng, MseAccumulator& out) {
+        const ReplicationRunner runner(runs, cfg.seed + salt, cfg.threads);
+        MseAccumulator acc = runner.map_reduce(
+            MseAccumulator(truth),
+            [&](std::size_t, Rng& rng) {
+              MseAccumulator out(truth);
               out.add_run(
                   estimate_group_densities(g, sample(rng), groups_of, top));
+              return out;
             },
-            [](MseAccumulator& a, const MseAccumulator& b) { a.merge(b); },
-            cfg.threads);
+            [](MseAccumulator& a, MseAccumulator&& b) { a.merge(b); });
         return acc.normalized_rmse();
       };
 

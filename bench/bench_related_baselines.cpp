@@ -37,13 +37,15 @@ int main(int argc, char** argv) {
 
   const auto gm = [&](const std::function<std::vector<double>(Rng&)>& est,
                       std::uint64_t salt) {
-    MseAccumulator acc = parallel_accumulate<MseAccumulator>(
-        runs, cfg.seed + salt, [&] { return MseAccumulator(truth); },
-        [&](std::size_t, Rng& rng, MseAccumulator& out) {
+    const ReplicationRunner runner(runs, cfg.seed + salt, cfg.threads);
+    MseAccumulator acc = runner.map_reduce(
+        MseAccumulator(truth),
+        [&](std::size_t, Rng& rng) {
+          MseAccumulator out(truth);
           out.add_run(ccdf_from_pdf(est(rng)));
+          return out;
         },
-        [](MseAccumulator& a, const MseAccumulator& b) { a.merge(b); },
-        cfg.threads);
+        [](MseAccumulator& a, MseAccumulator&& b) { a.merge(b); });
     const auto curve = acc.normalized_rmse();
     std::vector<double> at_display;
     for (std::uint32_t d :

@@ -29,22 +29,31 @@ int main(int argc, char** argv) {
   // the Section 3 model), estimating theta directly.
   const RandomVertexSampler rv(g, {.budget = budget});
   const RandomEdgeSampler re(g, {.budget = budget, .edge_cost = 1.0});
-  MseAccumulator rv_acc = parallel_accumulate<MseAccumulator>(
-      runs, cfg.seed, [&] { return MseAccumulator(theta); },
-      [&](std::size_t, Rng& rng, MseAccumulator& out) {
-        out.add_run(estimate_degree_distribution_uniform(
-            g, rv.run(rng).vertices, DegreeKind::kOut));
-      },
-      [](MseAccumulator& a, const MseAccumulator& b) { a.merge(b); },
-      cfg.threads);
-  MseAccumulator re_acc = parallel_accumulate<MseAccumulator>(
-      runs, cfg.seed + 1, [&] { return MseAccumulator(theta); },
-      [&](std::size_t, Rng& rng, MseAccumulator& out) {
-        out.add_run(estimate_degree_distribution(g, re.run(rng).edges,
-                                                 DegreeKind::kOut));
-      },
-      [](MseAccumulator& a, const MseAccumulator& b) { a.merge(b); },
-      cfg.threads);
+  const auto merge = [](MseAccumulator& a, MseAccumulator&& b) {
+    a.merge(b);
+  };
+  MseAccumulator rv_acc =
+      ReplicationRunner(runs, cfg.seed, cfg.threads)
+          .map_reduce(
+              MseAccumulator(theta),
+              [&](std::size_t, Rng& rng) {
+                MseAccumulator out(theta);
+                out.add_run(estimate_degree_distribution_uniform(
+                    g, rv.run(rng).vertices, DegreeKind::kOut));
+                return out;
+              },
+              merge);
+  MseAccumulator re_acc =
+      ReplicationRunner(runs, cfg.seed + 1, cfg.threads)
+          .map_reduce(
+              MseAccumulator(theta),
+              [&](std::size_t, Rng& rng) {
+                MseAccumulator out(theta);
+                out.add_run(estimate_degree_distribution(g, re.run(rng).edges,
+                                                         DegreeKind::kOut));
+                return out;
+              },
+              merge);
   const auto rv_mc = rv_acc.normalized_rmse();
   const auto re_mc = re_acc.normalized_rmse();
   {

@@ -44,16 +44,17 @@ int main(int argc, char** argv) {
 
     const auto eval = [&](const std::function<std::vector<Edge>(Rng&)>& run,
                           std::uint64_t salt) {
-      return parallel_accumulate<ScalarErrorAccumulator>(
-          runs, cfg.seed + salt,
-          [&] { return ScalarErrorAccumulator(r_true); },
-          [&](std::size_t, Rng& rng, ScalarErrorAccumulator& acc) {
+      const ReplicationRunner runner(runs, cfg.seed + salt, cfg.threads);
+      return runner.map_reduce(
+          ScalarErrorAccumulator(r_true),
+          [&](std::size_t, Rng& rng) {
+            ScalarErrorAccumulator acc(r_true);
             acc.add_run(estimate_assortativity(g, run(rng)));
+            return acc;
           },
-          [](ScalarErrorAccumulator& a, const ScalarErrorAccumulator& b) {
+          [](ScalarErrorAccumulator& a, ScalarErrorAccumulator&& b) {
             a.merge(b);
-          },
-          cfg.threads);
+          });
     };
     const auto fs_acc =
         eval([&](Rng& rng) { return fs.run(rng).edges; }, 11);

@@ -37,16 +37,17 @@ int main(int argc, char** argv) {
 
     const auto eval = [&](const std::function<std::vector<Edge>(Rng&)>& run,
                           std::uint64_t salt) {
-      return parallel_accumulate<ScalarErrorAccumulator>(
-          runs, cfg.seed + salt,
-          [&] { return ScalarErrorAccumulator(c_true); },
-          [&](std::size_t, Rng& rng, ScalarErrorAccumulator& acc) {
+      const ReplicationRunner runner(runs, cfg.seed + salt, cfg.threads);
+      return runner.map_reduce(
+          ScalarErrorAccumulator(c_true),
+          [&](std::size_t, Rng& rng) {
+            ScalarErrorAccumulator acc(c_true);
             acc.add_run(estimate_global_clustering(g, run(rng)));
+            return acc;
           },
-          [](ScalarErrorAccumulator& a, const ScalarErrorAccumulator& b) {
+          [](ScalarErrorAccumulator& a, ScalarErrorAccumulator&& b) {
             a.merge(b);
-          },
-          cfg.threads);
+          });
     };
     const auto fmt = [](const ScalarErrorAccumulator& acc) {
       return format_number(acc.mean_estimate(), 3) + " (" +

@@ -40,10 +40,10 @@ enum class OptionType : std::uint8_t {
 };
 
 struct OptionSpec {
-  std::string name;        ///< long name without the leading "--"
+  std::string name;          ///< long name without the leading "--"
   OptionType type = OptionType::kString;
-  std::string value_name;  ///< placeholder in usage text, e.g. "N"
-  std::string help;        ///< one-line description for usage text
+  std::string value_name{};  ///< placeholder in usage text, e.g. "N"
+  std::string help{};        ///< one-line description for usage text
   /// kU64: inclusive lower bound (set to 1 to reject an explicit 0 —
   /// the validation sweep for --checkpoint-every and the serve quotas).
   std::uint64_t min_u64 = 0;
@@ -62,14 +62,14 @@ struct PositionalSpec {
 class ParsedArgs;
 
 struct CommandSpec {
-  std::string program;  ///< e.g. "frontier_cli"
-  std::string command;  ///< e.g. "stream"; empty for single-command tools
-  std::string summary;  ///< one-line description for usage text
-  std::vector<PositionalSpec> positionals;
+  std::string program{};  ///< e.g. "frontier_cli"
+  std::string command{};  ///< e.g. "stream"; empty for single-command tools
+  std::string summary{};  ///< one-line description for usage text
+  std::vector<PositionalSpec> positionals{};
   /// Extra positionals beyond the declared ones are accepted iff set
   /// (bench-report/metrics-summary take a file list).
   bool variadic_positionals = false;
-  std::vector<OptionSpec> options;
+  std::vector<OptionSpec> options{};
 
   /// Parses argv[first..argc). Throws UsageError on any schema violation.
   [[nodiscard]] ParsedArgs parse(int argc, char** argv, int first) const;

@@ -94,5 +94,4 @@
 #include "experiments/config.hpp"
 #include "experiments/datasets.hpp"
 #include "experiments/replication_runner.hpp"
-#include "experiments/replicator.hpp"
 #include "experiments/printers.hpp"

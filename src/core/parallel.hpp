@@ -1,6 +1,6 @@
 // Thread-count resolution and data-parallel building blocks shared by the
 // graph ingestion path (parallel edge-list parsing, CSR construction) and
-// the experiment replicator. Header-only: every helper degrades to the
+// the experiment ReplicationRunner. Header-only: every helper degrades to the
 // sequential algorithm when one worker is resolved, so results never depend
 // on the thread count.
 #pragma once

@@ -8,11 +8,15 @@
 
 namespace frontier {
 
-FrontierSampler::FrontierSampler(const Graph& g, Config config)
-    : graph_(&g), config_(config), start_sampler_(g, config.start) {
-  if (config_.dimension == 0) {
+void validate_config(const FrontierSampler::Config& config) {
+  if (config.dimension == 0) {
     throw std::invalid_argument("FrontierSampler: dimension m >= 1");
   }
+}
+
+FrontierSampler::FrontierSampler(const Graph& g, Config config)
+    : graph_(&g), config_(config), start_sampler_(g, config.start) {
+  validate_config(config_);
 }
 
 // run()/run_from() are thin loops over FrontierCursor (stream/): the
@@ -35,16 +39,6 @@ const SampleRecord& FrontierSampler::run_into(SampleArena& arena,
 
 SampleRecord FrontierSampler::run_from(std::span<const VertexId> starts,
                                        Rng& rng) const {
-  if (starts.size() != config_.dimension) {
-    throw std::invalid_argument(
-        "FrontierSampler::run_from: |starts| must equal dimension");
-  }
-  for (VertexId v : starts) {
-    if (v >= graph_->num_vertices() || graph_->degree(v) == 0) {
-      throw std::invalid_argument(
-          "FrontierSampler::run_from: start vertex invalid or isolated");
-    }
-  }
   FrontierCursor cursor(*graph_, config_,
                         std::vector<VertexId>(starts.begin(), starts.end()),
                         rng);

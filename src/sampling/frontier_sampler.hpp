@@ -49,8 +49,9 @@ class FrontierSampler {
   const SampleRecord& run_into(SampleArena& arena, Rng& rng) const;
 
   /// Runs Algorithm 1 from the given initial walker list (|starts| must be
-  /// m and every start must have positive degree). Used by experiments that
-  /// share starting vertices between FS and MultipleRW (Figures 6 and 9).
+  /// m and every start must have positive degree; FrontierCursor checks
+  /// both). Used by experiments that share starting vertices between FS
+  /// and MultipleRW (Figures 6 and 9).
   [[nodiscard]] SampleRecord run_from(std::span<const VertexId> starts,
                                       Rng& rng) const;
 
@@ -62,5 +63,9 @@ class FrontierSampler {
   Config config_;
   StartSampler start_sampler_;
 };
+
+/// The one check of a FrontierSampler::Config, run by the sampler and by
+/// every FrontierCursor constructor: throws std::invalid_argument if m = 0.
+void validate_config(const FrontierSampler::Config& config);
 
 }  // namespace frontier

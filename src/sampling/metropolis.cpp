@@ -8,11 +8,14 @@
 
 namespace frontier {
 
+void validate_config(const Graph& g,
+                     const MetropolisHastingsWalk::Config& config) {
+  check_fixed_start(g, config.fixed_start, "MetropolisHastingsWalk");
+}
+
 MetropolisHastingsWalk::MetropolisHastingsWalk(const Graph& g, Config config)
     : graph_(&g), config_(config), start_sampler_(g, config.start) {
-  if (config_.fixed_start && *config_.fixed_start >= g.num_vertices()) {
-    throw std::out_of_range("MetropolisHastingsWalk: fixed_start out of range");
-  }
+  validate_config(g, config_);
 }
 
 // run() is a thin loop over MetropolisCursor (stream/), the single

@@ -42,4 +42,10 @@ class MetropolisHastingsWalk {
   StartSampler start_sampler_;
 };
 
+/// The one check of a MetropolisHastingsWalk::Config, run by the sampler
+/// and by every MetropolisCursor constructor: throws std::out_of_range for
+/// a fixed_start outside V and std::invalid_argument for an isolated one.
+void validate_config(const Graph& g,
+                     const MetropolisHastingsWalk::Config& config);
+
 }  // namespace frontier

@@ -8,11 +8,15 @@
 
 namespace frontier {
 
-MultipleRandomWalks::MultipleRandomWalks(const Graph& g, Config config)
-    : graph_(&g), config_(config), start_sampler_(g, config.start) {
-  if (config_.num_walkers == 0) {
+void validate_config(const MultipleRandomWalks::Config& config) {
+  if (config.num_walkers == 0) {
     throw std::invalid_argument("MultipleRandomWalks: num_walkers >= 1");
   }
+}
+
+MultipleRandomWalks::MultipleRandomWalks(const Graph& g, Config config)
+    : graph_(&g), config_(config), start_sampler_(g, config.start) {
+  validate_config(config_);
 }
 
 // run() is a thin loop over MultipleRwCursor (stream/): walker starts are

@@ -37,4 +37,9 @@ class MultipleRandomWalks {
   StartSampler start_sampler_;
 };
 
+/// The one check of a MultipleRandomWalks::Config, run by the sampler and
+/// by every MultipleRwCursor constructor: throws std::invalid_argument if
+/// m = 0.
+void validate_config(const MultipleRandomWalks::Config& config);
+
 }  // namespace frontier

@@ -5,7 +5,7 @@
 #include <thread>
 #include <vector>
 
-#include "experiments/replicator.hpp"
+#include "core/parallel.hpp"
 
 namespace frontier {
 

@@ -1,6 +1,7 @@
 #include "sampling/random_walk_with_jumps.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -9,16 +10,29 @@
 
 namespace frontier {
 
+void validate_config(const RandomWalkWithJumps::Config& config) {
+  if (!(config.jump_probability >= 0.0 && config.jump_probability <= 1.0)) {
+    throw std::invalid_argument(
+        "RandomWalkWithJumps: jump_probability in [0, 1]");
+  }
+  if (!(config.cost.hit_ratio > 0.0 && config.cost.hit_ratio <= 1.0)) {
+    throw std::invalid_argument("RandomWalkWithJumps: hit_ratio in (0,1]");
+  }
+  // Jumps that cost nothing (or refund budget) and a budget that is not
+  // finite can each keep a run going until memory runs out.
+  if (!(config.cost.jump_cost > 0.0)) {
+    throw std::invalid_argument("RandomWalkWithJumps: jump_cost > 0");
+  }
+  if (!std::isfinite(config.budget)) {
+    throw std::invalid_argument("RandomWalkWithJumps: budget must be finite");
+  }
+}
+
 RandomWalkWithJumps::RandomWalkWithJumps(const Graph& g, Config config)
     : graph_(&g),
       config_(config),
       start_sampler_(g, StartMode::kUniform) {
-  if (config_.jump_probability < 0.0 || config_.jump_probability > 1.0) {
-    throw std::invalid_argument("RandomWalkWithJumps: jump_probability");
-  }
-  if (config_.cost.hit_ratio <= 0.0 || config_.cost.hit_ratio > 1.0) {
-    throw std::invalid_argument("RandomWalkWithJumps: hit_ratio in (0,1]");
-  }
+  validate_config(config_);
 }
 
 // run() is a thin loop over RwjCursor (stream/), the single implementation
@@ -37,9 +51,9 @@ const SampleRecord& RandomWalkWithJumps::run_into(SampleArena& arena,
   // step and jump landing records at most one vertex. Reserving the
   // bounds up front keeps the drain free of geometric regrowth. Clamp
   // before the float->int cast: negative budgets (legal, empty run) and
-  // astronomical ones would be UB to cast, and a reserve hint has no
-  // business beyond 2^32 entries anyway — the drain grows if truly
-  // needed.
+  // astronomical ones would be UB to cast (validate_config has already
+  // rejected NaN), and a reserve hint has no business beyond 2^32
+  // entries anyway — the drain grows if truly needed.
   const double clamped =
       std::clamp(config_.budget, 0.0, 4294967296.0);  // 2^32
   const auto budget_steps = static_cast<std::uint64_t>(clamped);

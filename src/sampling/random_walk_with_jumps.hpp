@@ -47,4 +47,10 @@ class RandomWalkWithJumps {
   StartSampler start_sampler_;
 };
 
+/// The one check of a RandomWalkWithJumps::Config, run by the sampler and
+/// by every RwjCursor constructor: throws std::invalid_argument unless
+/// jump_probability is in [0, 1], hit_ratio in (0, 1], jump_cost > 0 and
+/// the budget finite — the conditions under which a run terminates.
+void validate_config(const RandomWalkWithJumps::Config& config);
+
 }  // namespace frontier

@@ -8,17 +8,16 @@
 
 namespace frontier {
 
-SingleRandomWalk::SingleRandomWalk(const Graph& g, Config config)
-    : graph_(&g), config_(config), start_sampler_(g, config.start) {
-  if (config_.fixed_start && *config_.fixed_start >= g.num_vertices()) {
-    throw std::out_of_range("SingleRandomWalk: fixed_start out of range");
-  }
-  if (config_.fixed_start && g.degree(*config_.fixed_start) == 0) {
-    throw std::invalid_argument("SingleRandomWalk: fixed_start is isolated");
-  }
-  if (config_.laziness < 0.0 || config_.laziness >= 1.0) {
+void validate_config(const Graph& g, const SingleRandomWalk::Config& config) {
+  check_fixed_start(g, config.fixed_start, "SingleRandomWalk");
+  if (!(config.laziness >= 0.0 && config.laziness < 1.0)) {
     throw std::invalid_argument("SingleRandomWalk: laziness in [0, 1)");
   }
+}
+
+SingleRandomWalk::SingleRandomWalk(const Graph& g, Config config)
+    : graph_(&g), config_(config), start_sampler_(g, config.start) {
+  validate_config(g, config_);
 }
 
 // run() is a thin loop over SingleRwCursor (stream/), the single

@@ -44,4 +44,10 @@ class SingleRandomWalk {
   StartSampler start_sampler_;
 };
 
+/// The one check of a SingleRandomWalk::Config, run by the sampler and by
+/// every SingleRwCursor constructor: throws std::out_of_range for a
+/// fixed_start outside V, std::invalid_argument for an isolated
+/// fixed_start or a laziness outside [0, 1).
+void validate_config(const Graph& g, const SingleRandomWalk::Config& config);
+
 }  // namespace frontier

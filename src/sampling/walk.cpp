@@ -1,6 +1,7 @@
 #include "sampling/walk.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace frontier {
 
@@ -43,13 +44,15 @@ VertexId StartSampler::sample(Rng& rng) const {
   }
 }
 
-void walk_from(const Graph& g, VertexId start, std::uint64_t steps, Rng& rng,
-               std::vector<Edge>& out) {
-  VertexId u = start;
-  for (std::uint64_t i = 0; i < steps; ++i) {
-    const VertexId v = step_uniform_neighbor(g, u, rng);
-    out.push_back(Edge{u, v});
-    u = v;
+void check_fixed_start(const Graph& g, std::optional<VertexId> start,
+                       const char* who) {
+  if (!start) return;
+  if (*start >= g.num_vertices()) {
+    throw std::out_of_range(std::string(who) + ": fixed_start out of range");
+  }
+  if (g.degree(*start) == 0) {
+    throw std::invalid_argument(std::string(who) +
+                                ": fixed_start is isolated");
   }
 }
 

@@ -66,6 +66,12 @@ class StartSampler {
   AliasTable degree_table_;  // built only for kDegreeProportional
 };
 
+/// Checks an optional caller-pinned start vertex: throws std::out_of_range
+/// if it is not a vertex of g and std::invalid_argument if it is isolated
+/// (a walker could never leave it). `who` prefixes the message.
+void check_fixed_start(const Graph& g, std::optional<VertexId> start,
+                       const char* who);
+
 /// One random-walk step from u: a uniformly random neighbor of u.
 /// Precondition: deg(u) > 0.
 [[nodiscard]] inline VertexId step_uniform_neighbor(const Graph& g, VertexId u,
@@ -73,10 +79,5 @@ class StartSampler {
   const auto nbrs = g.neighbors(u);
   return nbrs[uniform_index(rng, nbrs.size())];
 }
-
-/// Runs a plain random walk for `steps` steps starting at `start`,
-/// appending sampled edges to `out`. Precondition: deg(start) > 0.
-void walk_from(const Graph& g, VertexId start, std::uint64_t steps, Rng& rng,
-               std::vector<Edge>& out);
 
 }  // namespace frontier

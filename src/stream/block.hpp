@@ -1,13 +1,14 @@
-// StreamEventBlock — the structure-of-arrays unit of the batched hot path.
+// StreamEventBlock — the structure-of-arrays unit of the streaming path.
 //
-// One virtual SamplerCursor::next(StreamEvent&) call per sampled edge is
-// the dominant per-step overhead once the walk arithmetic itself is a few
-// nanoseconds. A block amortizes that dispatch: the cursor advances up to
-// capacity() steps in one next_batch() call, writing each step's
-// observation into parallel columns (edge endpoints u/v, the symmetric
-// degree of the edge target, the observed vertex, and a per-row flag
-// byte). Sinks then ingest whole columns (EstimatorSink::ingest_block)
-// and drain_cursor bulk-appends them into a SampleRecord.
+// Every production step goes through a block: the cursor advances up to
+// capacity() steps in one SamplerCursor::next_batch() call, writing each
+// step's observation into parallel columns (edge endpoints u/v, the
+// symmetric degree of the edge target, the observed vertex, and a per-row
+// flag byte). Sinks then ingest whole columns (EstimatorSink::ingest_block)
+// and drain_cursor bulk-appends them into a SampleRecord, so virtual
+// dispatch is paid once per block, not once per sampled edge. The
+// per-event SamplerCursor::next(StreamEvent&) survives only as the test
+// reference for next_batch().
 //
 // Blocks are caller-owned and reusable: StreamEngine, drain_cursor and
 // the per-worker replication arenas each keep one block alive across

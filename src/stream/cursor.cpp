@@ -1,30 +1,6 @@
 #include "stream/cursor.hpp"
 
-#include <algorithm>
-
 namespace frontier {
-
-std::size_t SamplerCursor::next_batch(StreamEventBlock& block,
-                                      std::size_t max_steps) {
-  block.clear();
-  const std::size_t want = std::min(max_steps, block.capacity());
-  StreamEvent ev;
-  std::size_t taken = 0;
-  while (taken < want && next(ev)) {
-    if (ev.has_edge && ev.has_vertex) {
-      block.push_edge_vertex(ev.edge.u, ev.edge.v,
-                             graph().degree(ev.edge.v), ev.vertex);
-    } else if (ev.has_edge) {
-      block.push_edge(ev.edge.u, ev.edge.v, graph().degree(ev.edge.v));
-    } else if (ev.has_vertex) {
-      block.push_vertex(ev.vertex);
-    } else {
-      block.push_empty();
-    }
-    ++taken;
-  }
-  return taken;
-}
 
 SampleRecord& drain_cursor_into(SamplerCursor& cursor, SampleArena& arena,
                                 std::uint64_t reserve_edges,

@@ -1,19 +1,21 @@
-// SamplerCursor — one-step-at-a-time sampling.
+// SamplerCursor — budgeted sampling as a pull iterator.
 //
 // Batch samplers (sampling/) materialize their whole SampleRecord before
 // any estimator runs, so memory grows linearly with the budget B. A cursor
-// instead exposes the same process as a pull iterator: each next() call
-// performs exactly one budgeted query of the crawled graph and reports
-// what that query observed (an edge, a vertex, or nothing — e.g. a lazy
-// stay or a failed jump). This mirrors how the paper's crawlers actually
-// operate (Section 2: samples arrive one API query at a time) and is the
-// substrate for online estimator sinks (stream/sinks.hpp) and
-// checkpoint/resume (stream/checkpoint.hpp).
+// instead exposes the same process one budgeted query of the crawled
+// graph at a time, reporting what each query observed (an edge, a vertex,
+// or nothing — e.g. a lazy stay or a failed jump). This mirrors how the
+// paper's crawlers actually operate (Section 2: samples arrive one API
+// query at a time) and is the substrate for online estimator sinks
+// (stream/sinks.hpp) and checkpoint/resume (stream/checkpoint.hpp).
 //
-// Contract: for every refactored sampler, draining a cursor reproduces the
-// batch run() byte-for-byte — identical RNG draw sequence, identical edge
-// and vertex sequences, identical starts and cost. The batch run() methods
-// are in fact thin loops over these cursors (see sampling/*.cpp).
+// next_batch() is the production path: StreamEngine, drain_cursor_into
+// and hence every batch run()/run_into() in sampling/*.cpp step through
+// it, so draining a cursor *is* the batch run — identical RNG draw
+// sequence, edge and vertex sequences, starts and cost. next() is an
+// independent one-step-at-a-time implementation of the same process,
+// kept as the reference that tests/test_stream_batch.cpp compares
+// next_batch() against at every block size.
 #pragma once
 
 #include <cstdint>
@@ -60,23 +62,21 @@ class SamplerCursor {
  public:
   virtual ~SamplerCursor() = default;
 
-  /// Advances one budgeted step. Returns false once the budget is
-  /// exhausted (ev is left cleared); otherwise fills ev with whatever the
-  /// step observed (possibly nothing).
+  /// Reference step: advances one budgeted step. Returns false once the
+  /// budget is exhausted (ev is left cleared); otherwise fills ev with
+  /// whatever the step observed (possibly nothing). Tests compare
+  /// next_batch() against it; production code does not call it.
   virtual bool next(StreamEvent& ev) = 0;
 
-  /// Batched stepping fast path: clears `block`, advances up to
-  /// min(max_steps, block.capacity()) budgeted steps, appending one row
-  /// per step, and returns the number of steps taken (0 iff exhausted or
-  /// max_steps == 0). The cursor state, RNG stream, emitted events and
-  /// cost after next_batch are byte-identical to the same number of
-  /// next() calls — batching amortizes dispatch, it never reorders draws
-  /// (tests/test_stream_batch.cpp asserts this for every cursor and
-  /// batch size). The base implementation loops next(); the concrete
-  /// cursors override it with branch-hoisted tight loops.
+  /// Clears `block`, advances up to min(max_steps, block.capacity())
+  /// budgeted steps, appending one row per step, and returns the number
+  /// of steps taken (0 iff exhausted or max_steps == 0). The cursor
+  /// state, RNG stream, emitted events and cost after next_batch are
+  /// byte-identical to the same number of next() calls — batching
+  /// amortizes dispatch, it never reorders draws.
   virtual std::size_t next_batch(
       StreamEventBlock& block,
-      std::size_t max_steps = std::numeric_limits<std::size_t>::max());
+      std::size_t max_steps = std::numeric_limits<std::size_t>::max()) = 0;
 
   /// True once next() has returned (or would return) false.
   [[nodiscard]] virtual bool done() const noexcept = 0;
@@ -89,8 +89,8 @@ class SamplerCursor {
   [[nodiscard]] virtual const std::vector<VertexId>& starts() const noexcept = 0;
 
   /// The cursor's RNG. Batch run() wrappers copy this back into the
-  /// caller's generator after draining so the external stream position is
-  /// identical to the pre-refactor samplers.
+  /// caller's generator after draining, so the caller's stream advances
+  /// by exactly the draws the run made.
   [[nodiscard]] virtual const Rng& rng() const noexcept = 0;
 
   [[nodiscard]] virtual CursorKind kind() const noexcept = 0;

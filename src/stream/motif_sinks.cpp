@@ -21,13 +21,6 @@ constexpr std::uint8_t kHasEdge = StreamEventBlock::kHasEdge;
 
 TriangleSink::TriangleSink(const Graph& g) : graph_(&g) {}
 
-void TriangleSink::consume(const StreamEvent& ev) {
-  if (!ev.has_edge) return;
-  shared_sum_ += shared_neighbors(*graph_, ev.edge.u, ev.edge.v);
-  wedge_sum_ += graph_->degree(ev.edge.v) - 1;
-  ++n_;
-}
-
 void TriangleSink::ingest_block(const StreamEventBlock& block) {
   const std::size_t sz = block.size();
   const std::uint8_t* flags = block.flags().data();
@@ -81,37 +74,29 @@ void TriangleSink::load_state(std::istream& is) {
 
 ClusteringSink::ClusteringSink(const Graph& g) : graph_(&g) {}
 
-void ClusteringSink::fold(VertexId u, VertexId v) {
-  ++n_;
-  const std::uint32_t d = graph_->degree(u);
-  if (d < 2) return;
-  // Same arithmetic, same order as estimate_global_clustering.
-  const double deg = static_cast<double>(d);
-  s_ += 1.0 / deg;
-  const std::uint32_t f = shared_neighbors(*graph_, u, v);
-  const double pairs = deg * (deg - 1.0) / 2.0;
-  num_ += static_cast<double>(f) / (2.0 * pairs);
-  if (d >= count_.size()) {
-    count_.resize(d + 1, 0);
-    fsum_.resize(d + 1, 0);
-  }
-  count_[d] += 1;
-  fsum_[d] += f;
-}
-
-void ClusteringSink::consume(const StreamEvent& ev) {
-  if (!ev.has_edge) return;
-  fold(ev.edge.u, ev.edge.v);
-}
-
 void ClusteringSink::ingest_block(const StreamEventBlock& block) {
   const std::size_t sz = block.size();
   const std::uint8_t* flags = block.flags().data();
   const VertexId* u = block.u().data();
   const VertexId* v = block.v().data();
+  const Graph& g = *graph_;
   for (std::size_t i = 0; i < sz; ++i) {
     if (!(flags[i] & kHasEdge)) continue;
-    fold(u[i], v[i]);
+    ++n_;
+    const std::uint32_t d = g.degree(u[i]);
+    if (d < 2) continue;
+    // Same arithmetic, same order as estimate_global_clustering.
+    const double deg = static_cast<double>(d);
+    s_ += 1.0 / deg;
+    const std::uint32_t f = shared_neighbors(g, u[i], v[i]);
+    const double pairs = deg * (deg - 1.0) / 2.0;
+    num_ += static_cast<double>(f) / (2.0 * pairs);
+    if (d >= count_.size()) {
+      count_.resize(d + 1, 0);
+      fsum_.resize(d + 1, 0);
+    }
+    count_[d] += 1;
+    fsum_[d] += f;
   }
 }
 
@@ -185,11 +170,6 @@ void MotifSink::fold(VertexId u, VertexId v, std::uint32_t deg_v) {
     cycles += shared_neighbors(g, x, v) - 1;  // u itself is always common
   }
   cycle8_ += cycles;
-}
-
-void MotifSink::consume(const StreamEvent& ev) {
-  if (!ev.has_edge) return;
-  fold(ev.edge.u, ev.edge.v, graph_->degree(ev.edge.v));
 }
 
 void MotifSink::ingest_block(const StreamEventBlock& block) {

@@ -14,10 +14,10 @@
 // accumulators are integers and the final divisions are exact — which is
 // what tests/test_motif_sinks.cpp asserts.
 //
-// Bit-identity discipline matches sinks.hpp: ingest_block folds the same
-// arithmetic in the same order as consume(), state snapshots round-trip
-// through save_state/load_state, and results are invariant to FS_BLOCK
-// and FS_THREADS (enforced by ctest and the CI fingerprint gate).
+// Bit-identity discipline matches sinks.hpp: ingest_block's state depends
+// only on the row sequence, never on the block size; state snapshots
+// round-trip through save_state/load_state; and results are invariant to
+// FS_BLOCK and FS_THREADS (enforced by ctest and the CI fingerprint gate).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,6 @@ class TriangleSink final : public EstimatorSink {
  public:
   explicit TriangleSink(const Graph& g);
 
-  void consume(const StreamEvent& ev) override;
   void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
@@ -68,7 +67,6 @@ class ClusteringSink final : public EstimatorSink {
  public:
   explicit ClusteringSink(const Graph& g);
 
-  void consume(const StreamEvent& ev) override;
   void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
@@ -81,8 +79,6 @@ class ClusteringSink final : public EstimatorSink {
   [[nodiscard]] std::uint64_t edges_consumed() const noexcept { return n_; }
 
  private:
-  void fold(VertexId u, VertexId v);
-
   const Graph* graph_;
   double s_ = 0.0;    // Σ 1/deg(u) over deg(u) >= 2
   double num_ = 0.0;  // Σ f / (2 C(deg(u), 2))
@@ -108,13 +104,12 @@ struct MotifEstimate {
 /// accumulates seven integer functionals of the codegree structure
 /// around the edge (see motif_sinks.cpp for the slot identities); the
 /// inclusion–exclusion to induced counts happens once, in estimate().
-/// The C4 term walks N(u)'s codegrees with v, so a consume costs
+/// The C4 term walks N(u)'s codegrees with v, so one edge row costs
 /// O(deg(u) · avg_deg) — the heaviest sink in the pipeline by design.
 class MotifSink final : public EstimatorSink {
  public:
   explicit MotifSink(const Graph& g);
 
-  void consume(const StreamEvent& ev) override;
   void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;

@@ -53,9 +53,7 @@ FrontierCursor::FrontierCursor(const Graph& g, FrontierSampler::Config config,
 FrontierCursor::FrontierCursor(const Graph& g, FrontierSampler::Config config,
                                Rng rng, const StartSampler& start_sampler)
     : graph_(&g), config_(config), rng_(rng) {
-  if (config_.dimension == 0) {
-    throw std::invalid_argument("FrontierCursor: dimension m >= 1");
-  }
+  validate_config(config_);
   if (start_sampler.mode() != config_.start) {
     throw std::invalid_argument(
         "FrontierCursor: start sampler mode != config.start");
@@ -69,9 +67,7 @@ FrontierCursor::FrontierCursor(const Graph& g, FrontierSampler::Config config,
 FrontierCursor::FrontierCursor(const Graph& g, FrontierSampler::Config config,
                                std::vector<VertexId> frontier, Rng rng)
     : graph_(&g), config_(config), frontier_(std::move(frontier)), rng_(rng) {
-  if (config_.dimension == 0) {
-    throw std::invalid_argument("FrontierCursor: dimension m >= 1");
-  }
+  validate_config(config_);
   if (frontier_.size() != config_.dimension) {
     throw std::invalid_argument(
         "FrontierCursor: |frontier| must equal dimension");
@@ -247,15 +243,7 @@ SingleRwCursor::SingleRwCursor(const Graph& g, SingleRandomWalk::Config config,
 SingleRwCursor::SingleRwCursor(const Graph& g, SingleRandomWalk::Config config,
                                Rng rng, const StartSampler& start_sampler)
     : graph_(&g), config_(config), rng_(rng) {
-  if (config_.fixed_start && *config_.fixed_start >= g.num_vertices()) {
-    throw std::out_of_range("SingleRwCursor: fixed_start out of range");
-  }
-  if (config_.fixed_start && g.degree(*config_.fixed_start) == 0) {
-    throw std::invalid_argument("SingleRwCursor: fixed_start is isolated");
-  }
-  if (config_.laziness < 0.0 || config_.laziness >= 1.0) {
-    throw std::invalid_argument("SingleRwCursor: laziness in [0, 1)");
-  }
+  validate_config(g, config_);
   if (start_sampler.mode() != config_.start) {
     throw std::invalid_argument(
         "SingleRwCursor: start sampler mode != config.start");
@@ -385,9 +373,7 @@ MultipleRwCursor::MultipleRwCursor(const Graph& g,
       owned_start_(std::in_place, g, config.start),
       start_sampler_(&*owned_start_),
       rng_(rng) {
-  if (config_.num_walkers == 0) {
-    throw std::invalid_argument("MultipleRwCursor: num_walkers >= 1");
-  }
+  validate_config(config_);
   starts_.reserve(config_.num_walkers);
 }
 
@@ -398,9 +384,7 @@ MultipleRwCursor::MultipleRwCursor(const Graph& g,
       config_(config),
       start_sampler_(&start_sampler),
       rng_(rng) {
-  if (config_.num_walkers == 0) {
-    throw std::invalid_argument("MultipleRwCursor: num_walkers >= 1");
-  }
+  validate_config(config_);
   if (start_sampler.mode() != config_.start) {
     throw std::invalid_argument(
         "MultipleRwCursor: start sampler mode != config.start");
@@ -539,12 +523,7 @@ RwjCursor::RwjCursor(const Graph& g, RandomWalkWithJumps::Config config,
 }
 
 void RwjCursor::init() {
-  if (config_.jump_probability < 0.0 || config_.jump_probability > 1.0) {
-    throw std::invalid_argument("RwjCursor: jump_probability");
-  }
-  if (config_.cost.hit_ratio <= 0.0 || config_.cost.hit_ratio > 1.0) {
-    throw std::invalid_argument("RwjCursor: hit_ratio in (0,1]");
-  }
+  validate_config(config_);
   // Initial placement is one paid jump.
   if (!pay_jump()) {
     done_ = true;
@@ -682,9 +661,7 @@ MetropolisCursor::MetropolisCursor(const Graph& g,
                                    MetropolisHastingsWalk::Config config,
                                    Rng rng, const StartSampler& start_sampler)
     : graph_(&g), config_(config), rng_(rng) {
-  if (config_.fixed_start && *config_.fixed_start >= g.num_vertices()) {
-    throw std::out_of_range("MetropolisCursor: fixed_start out of range");
-  }
+  validate_config(g, config_);
   if (start_sampler.mode() != config_.start) {
     throw std::invalid_argument(
         "MetropolisCursor: start sampler mode != config.start");

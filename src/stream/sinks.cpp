@@ -19,42 +19,10 @@ constexpr std::uint8_t kHasVertex = StreamEventBlock::kHasVertex;
 
 }  // namespace
 
-// ------------------------------------------------------------ base class
-
-void EstimatorSink::ingest_block(const StreamEventBlock& block) {
-  // Generic fallback: replay the rows through consume(). Overrides below
-  // flatten this loop over the block's columns.
-  const std::size_t n = block.size();
-  const std::uint8_t* flags = block.flags().data();
-  const VertexId* u = block.u().data();
-  const VertexId* v = block.v().data();
-  const VertexId* vertex = block.vertex().data();
-  StreamEvent ev;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t f = flags[i];
-    ev.has_edge = (f & kHasEdge) != 0;
-    ev.has_vertex = (f & kHasVertex) != 0;
-    if (ev.has_edge) ev.edge = Edge{u[i], v[i]};
-    if (ev.has_vertex) ev.vertex = vertex[i];
-    consume(ev);
-  }
-}
-
 // ------------------------------------------------- DegreeDistributionSink
 
 DegreeDistributionSink::DegreeDistributionSink(const Graph& g, DegreeKind kind)
     : graph_(&g), kind_(kind) {}
-
-void DegreeDistributionSink::consume(const StreamEvent& ev) {
-  if (!ev.has_edge) return;
-  const VertexId v = ev.edge.v;
-  const double inv_deg = 1.0 / static_cast<double>(graph_->degree(v));
-  s_ += inv_deg;
-  const std::uint32_t d = degree_of(*graph_, v, kind_);
-  if (d >= weighted_.size()) weighted_.resize(d + 1, 0.0);
-  weighted_[d] += inv_deg;
-  ++n_;
-}
 
 void DegreeDistributionSink::ingest_block(const StreamEventBlock& block) {
   const std::size_t sz = block.size();
@@ -123,21 +91,12 @@ void DegreeDistributionSink::load_state(std::istream& is) {
 
 // ------------------------------------------------------- VertexDensitySink
 
-VertexDensitySink::VertexDensitySink(const Graph& g,
+VertexDensitySink::VertexDensitySink(const Graph& /*g*/,
                                      std::function<bool(VertexId)> pred)
-    : graph_(&g), pred_(std::move(pred)) {
+    : pred_(std::move(pred)) {
   if (!pred_) {
     throw std::invalid_argument("VertexDensitySink: predicate required");
   }
-}
-
-void VertexDensitySink::consume(const StreamEvent& ev) {
-  if (!ev.has_edge) return;
-  const VertexId v = ev.edge.v;
-  const double inv_deg = 1.0 / static_cast<double>(graph_->degree(v));
-  s_ += inv_deg;
-  if (pred_(v)) weighted_hits_ += inv_deg;
-  ++n_;
 }
 
 void VertexDensitySink::ingest_block(const StreamEventBlock& block) {
@@ -185,13 +144,6 @@ EdgeDensitySink::EdgeDensitySink(std::function<bool(const Edge&)> labeled,
   }
 }
 
-void EdgeDensitySink::consume(const StreamEvent& ev) {
-  if (!ev.has_edge) return;
-  if (!labeled_(ev.edge)) return;
-  ++b_star_;
-  if (has_label_(ev.edge)) ++hits_;
-}
-
 void EdgeDensitySink::ingest_block(const StreamEventBlock& block) {
   const std::size_t sz = block.size();
   const std::uint8_t* flags = block.flags().data();
@@ -230,14 +182,6 @@ void EdgeDensitySink::load_state(std::istream& is) {
 
 AssortativitySink::AssortativitySink(const Graph& g) : graph_(&g) {}
 
-void AssortativitySink::consume(const StreamEvent& ev) {
-  if (!ev.has_edge) return;
-  const Edge& e = ev.edge;
-  if (!graph_->has_directed_edge(e.u, e.v)) return;  // unlabeled: skip
-  acc_.add(static_cast<double>(graph_->out_degree(e.u)),
-           static_cast<double>(graph_->in_degree(e.v)));
-}
-
 void AssortativitySink::ingest_block(const StreamEventBlock& block) {
   const std::size_t sz = block.size();
   const std::uint8_t* flags = block.flags().data();
@@ -266,22 +210,11 @@ void AssortativitySink::load_state(std::istream& is) {
 
 // -------------------------------------------------------- GraphMomentsSink
 
-GraphMomentsSink::GraphMomentsSink(const Graph& g, unsigned max_moment)
-    : graph_(&g), pow_sums_(max_moment, 0.0) {
+GraphMomentsSink::GraphMomentsSink(const Graph& /*g*/, unsigned max_moment)
+    : pow_sums_(max_moment, 0.0) {
   if (max_moment == 0) {
     throw std::invalid_argument("GraphMomentsSink: max_moment >= 1");
   }
-}
-
-void GraphMomentsSink::consume(const StreamEvent& ev) {
-  if (!ev.has_edge) return;
-  const double deg = static_cast<double>(graph_->degree(ev.edge.v));
-  s_ += 1.0 / deg;
-  for (std::size_t k = 1; k <= pow_sums_.size(); ++k) {
-    pow_sums_[k - 1] += std::pow(deg, static_cast<double>(k) - 1.0);
-  }
-  ++n_;
-  observed_.add(deg);
 }
 
 void GraphMomentsSink::ingest_block(const StreamEventBlock& block) {
@@ -349,12 +282,6 @@ void GraphMomentsSink::load_state(std::istream& is) {
 // ------------------------------------------------------- UniformDegreeSink
 
 UniformDegreeSink::UniformDegreeSink(const Graph& g) : graph_(&g) {}
-
-void UniformDegreeSink::consume(const StreamEvent& ev) {
-  if (!ev.has_vertex) return;
-  deg_sum_ += static_cast<double>(graph_->degree(ev.vertex));
-  ++n_;
-}
 
 void UniformDegreeSink::ingest_block(const StreamEventBlock& block) {
   const std::size_t sz = block.size();

@@ -1,12 +1,14 @@
-// Online estimator sinks: fold StreamEvents incrementally so a crawl at
-// any budget B uses O(max_degree + buckets) memory instead of O(B).
+// Online estimator sinks: fold StreamEventBlocks incrementally so a crawl
+// at any budget B uses O(max_degree + buckets) memory instead of O(B).
 //
 // Each sink is the streaming twin of one batch estimator in estimators/
 // and accumulates in the same order with the same arithmetic, so given the
 // same edge sequence the sink's output is bit-identical to the batch
-// function's (tests/test_stream_sinks.cpp asserts this). Sinks serialize
-// their numeric state for checkpoint/resume; closures (label predicates)
-// are not stored — the caller re-binds them when reconstructing the sink.
+// function's, for every block capacity (tests/test_stream_sinks.cpp
+// asserts this). ingest_block is each estimand's only fold: StreamEngine
+// and the checkpoint path both go through it. Sinks serialize their
+// numeric state for checkpoint/resume; closures (label predicates) are
+// not stored — the caller re-binds them when reconstructing the sink.
 #pragma once
 
 #include <cstdint>
@@ -21,26 +23,22 @@
 #include "graph/graph.hpp"
 #include "graph/metrics.hpp"
 #include "stats/accumulators.hpp"
-#include "stream/cursor.hpp"
+#include "stream/block.hpp"
 
 namespace frontier {
 
-/// Incremental estimator fed one StreamEvent at a time, or — on the
-/// batched fast path — one StreamEventBlock at a time.
+/// Incremental estimator fed one StreamEventBlock at a time.
 class EstimatorSink {
  public:
   virtual ~EstimatorSink() = default;
 
-  virtual void consume(const StreamEvent& ev) = 0;
-
-  /// Folds every row of `block` in order. The accumulated state is
-  /// bit-identical to consume()ing the rows one by one — overrides only
-  /// flatten the loop (no per-event dispatch, degree weights read from
-  /// the block's degree column). Contract: the block's deg_v column must
-  /// be the symmetric degree of v in this sink's graph, which holds for
-  /// every block produced by a cursor over that graph. The base
-  /// implementation replays rows through consume().
-  virtual void ingest_block(const StreamEventBlock& block);
+  /// Folds every row of `block` in order, skipping rows without the
+  /// observation the estimand needs (edge or vertex flag). The state
+  /// depends only on the row sequence, never on how it was cut into
+  /// blocks. Contract: the block's deg_v column must be the symmetric
+  /// degree of v in this sink's graph, which holds for every block
+  /// produced by a cursor over that graph.
+  virtual void ingest_block(const StreamEventBlock& block) = 0;
 
   /// Stable identifier, stored in checkpoints and verified on load.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
@@ -56,7 +54,6 @@ class DegreeDistributionSink final : public EstimatorSink {
  public:
   DegreeDistributionSink(const Graph& g, DegreeKind kind);
 
-  void consume(const StreamEvent& ev) override;
   void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
@@ -77,12 +74,12 @@ class DegreeDistributionSink final : public EstimatorSink {
 };
 
 /// Streaming eq. 7: vertex label density from edge samples, reweighted by
-/// 1/deg. The predicate is evaluated once per edge as it arrives.
+/// 1/deg. The predicate is evaluated once per edge as it arrives; the
+/// weights come from the block's deg_v column (degrees in `g`).
 class VertexDensitySink final : public EstimatorSink {
  public:
   VertexDensitySink(const Graph& g, std::function<bool(VertexId)> pred);
 
-  void consume(const StreamEvent& ev) override;
   void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
@@ -92,7 +89,6 @@ class VertexDensitySink final : public EstimatorSink {
   [[nodiscard]] double value() const noexcept;
 
  private:
-  const Graph* graph_;
   std::function<bool(VertexId)> pred_;
   double s_ = 0.0;
   double weighted_hits_ = 0.0;
@@ -105,7 +101,6 @@ class EdgeDensitySink final : public EstimatorSink {
   EdgeDensitySink(std::function<bool(const Edge&)> labeled,
                   std::function<bool(const Edge&)> has_label);
 
-  void consume(const StreamEvent& ev) override;
   void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
@@ -127,7 +122,6 @@ class AssortativitySink final : public EstimatorSink {
  public:
   explicit AssortativitySink(const Graph& g);
 
-  void consume(const StreamEvent& ev) override;
   void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
@@ -150,10 +144,10 @@ class AssortativitySink final : public EstimatorSink {
 /// diagnostic for monitoring long crawls.
 class GraphMomentsSink final : public EstimatorSink {
  public:
-  /// Tracks raw degree moments E[deg^k] for k in [1, max_moment].
+  /// Tracks raw degree moments E[deg^k] for k in [1, max_moment]. The
+  /// degrees come from the block's deg_v column (degrees in `g`).
   explicit GraphMomentsSink(const Graph& g, unsigned max_moment = 3);
 
-  void consume(const StreamEvent& ev) override;
   void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
@@ -172,7 +166,6 @@ class GraphMomentsSink final : public EstimatorSink {
   }
 
  private:
-  const Graph* graph_;
   std::vector<double> pow_sums_;  // Σ deg^(k-1) for k = 1..max_moment
   double s_ = 0.0;                // Σ 1/deg
   std::uint64_t n_ = 0;
@@ -185,7 +178,6 @@ class UniformDegreeSink final : public EstimatorSink {
  public:
   explicit UniformDegreeSink(const Graph& g);
 
-  void consume(const StreamEvent& ev) override;
   void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;

@@ -1,16 +1,13 @@
-#include "experiments/replicator.hpp"
+// ExperimentConfig: the strict FS_* environment parsing every bench and
+// experiment reads, and the thread-count resolution it feeds.
+#include "experiments/config.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
-#include <mutex>
-#include <set>
 #include <stdexcept>
-#include <vector>
 
-#include "experiments/config.hpp"
-#include "stats/accumulators.hpp"
+#include "core/parallel.hpp"
 
 namespace frontier {
 namespace {
@@ -18,55 +15,6 @@ namespace {
 TEST(ResolveThreads, DefaultsToHardware) {
   EXPECT_GE(resolve_threads(0), 1u);
   EXPECT_EQ(resolve_threads(3), 3u);
-}
-
-TEST(ParallelReplicate, RunsEveryIndexExactlyOnce) {
-  std::mutex mu;
-  std::set<std::size_t> seen;
-  parallel_replicate(
-      100, 1,
-      [&](std::size_t r, Rng&) {
-        std::lock_guard<std::mutex> lock(mu);
-        EXPECT_TRUE(seen.insert(r).second) << "run " << r << " repeated";
-      },
-      4);
-  EXPECT_EQ(seen.size(), 100u);
-}
-
-TEST(ParallelAccumulate, ResultIndependentOfThreadCount) {
-  const auto run_with = [](std::size_t threads) {
-    return parallel_accumulate<RunningStat>(
-        200, 42, [] { return RunningStat{}; },
-        [](std::size_t, Rng& rng, RunningStat& acc) {
-          acc.add(uniform01(rng));
-        },
-        [](RunningStat& dst, const RunningStat& src) { dst.merge(src); },
-        threads);
-  };
-  const RunningStat t1 = run_with(1);
-  const RunningStat t8 = run_with(8);
-  EXPECT_EQ(t1.count(), t8.count());
-  EXPECT_NEAR(t1.mean(), t8.mean(), 1e-12);
-  EXPECT_NEAR(t1.variance(), t8.variance(), 1e-12);
-}
-
-TEST(ParallelAccumulate, PerRunStreamsAreDeterministic) {
-  std::vector<double> first(50, 0.0);
-  std::vector<double> second(50, 0.0);
-  const auto collect = [](std::vector<double>& out) {
-    std::mutex mu;
-    parallel_replicate(
-        50, 7,
-        [&](std::size_t r, Rng& rng) {
-          const double value = uniform01(rng);
-          std::lock_guard<std::mutex> lock(mu);
-          out[r] = value;
-        },
-        6);
-  };
-  collect(first);
-  collect(second);
-  EXPECT_EQ(first, second);
 }
 
 TEST(ExperimentConfig, EnvDefaults) {

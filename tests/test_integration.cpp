@@ -10,7 +10,7 @@
 #include "estimators/degree_distribution.hpp"
 #include "estimators/density.hpp"
 #include "experiments/datasets.hpp"
-#include "experiments/replicator.hpp"
+#include "experiments/replication_runner.hpp"
 #include "graph/components.hpp"
 #include "graph/metrics.hpp"
 #include "sampling/budget.hpp"
@@ -49,18 +49,19 @@ double mean_density_error(
     std::size_t runs) {
   const auto pred = [&g](VertexId v) { return g.degree(v) == 10; };
   (void)pred;
-  ScalarErrorAccumulator result = parallel_accumulate<ScalarErrorAccumulator>(
-      runs, 4242,
-      [&] { return ScalarErrorAccumulator(theta_true); },
-      [&](std::size_t, Rng& rng, ScalarErrorAccumulator& acc) {
+  const ReplicationRunner runner(runs, 4242);
+  ScalarErrorAccumulator result = runner.map_reduce(
+      ScalarErrorAccumulator(theta_true),
+      [&](std::size_t, Rng& rng) {
+        ScalarErrorAccumulator acc(theta_true);
         const auto edges = run_sampler(rng);
         acc.add_run(estimate_vertex_label_density(
             g, edges, [&g](VertexId v) { return g.degree(v) == 10; }));
+        return acc;
       },
-      [](ScalarErrorAccumulator& dst, const ScalarErrorAccumulator& src) {
+      [](ScalarErrorAccumulator& dst, ScalarErrorAccumulator&& src) {
         dst.merge(src);
-      },
-      0);
+      });
   return result.nmse();
 }
 
@@ -109,29 +110,29 @@ TEST_F(GabExperiment, SingleWalkerCannotSeeAssortativityAcrossTheBridge) {
   const std::size_t m = 100;
   const std::size_t runs = 40;
 
-  ScalarErrorAccumulator fs_acc = parallel_accumulate<ScalarErrorAccumulator>(
-      runs, 777, [&] { return ScalarErrorAccumulator(r_true); },
-      [&](std::size_t, Rng& rng, ScalarErrorAccumulator& acc) {
+  const auto merge = [](ScalarErrorAccumulator& d,
+                         ScalarErrorAccumulator&& s) { d.merge(s); };
+  ScalarErrorAccumulator fs_acc = ReplicationRunner(runs, 777).map_reduce(
+      ScalarErrorAccumulator(r_true),
+      [&](std::size_t, Rng& rng) {
+        ScalarErrorAccumulator acc(r_true);
         const FrontierSampler fs(
             g, {.dimension = m, .steps = frontier_steps(budget, m, 1.0)});
         acc.add_run(estimate_assortativity(g, fs.run(rng).edges));
+        return acc;
       },
-      [](ScalarErrorAccumulator& d, const ScalarErrorAccumulator& s) {
-        d.merge(s);
-      },
-      0);
+      merge);
 
-  ScalarErrorAccumulator srw_acc = parallel_accumulate<ScalarErrorAccumulator>(
-      runs, 778, [&] { return ScalarErrorAccumulator(r_true); },
-      [&](std::size_t, Rng& rng, ScalarErrorAccumulator& acc) {
+  ScalarErrorAccumulator srw_acc = ReplicationRunner(runs, 778).map_reduce(
+      ScalarErrorAccumulator(r_true),
+      [&](std::size_t, Rng& rng) {
+        ScalarErrorAccumulator acc(r_true);
         const SingleRandomWalk srw(
             g, {.steps = static_cast<std::uint64_t>(budget) - 1});
         acc.add_run(estimate_assortativity(g, srw.run(rng).edges));
+        return acc;
       },
-      [](ScalarErrorAccumulator& d, const ScalarErrorAccumulator& s) {
-        d.merge(s);
-      },
-      0);
+      merge);
 
   EXPECT_LT(fs_acc.nmse(), srw_acc.nmse());
   // SingleRW's estimate collapses toward 0 (the within-half value), i.e.
@@ -176,22 +177,23 @@ TEST(VertexVsEdgeSampling, EdgeSamplingWinsOnTheTail) {
   };
   const auto run_method =
       [&](const std::function<std::vector<double>(Rng&)>& estimate) {
-        return parallel_accumulate<Pair>(
-            runs, 999,
-            [&] {
-              return Pair{ScalarErrorAccumulator(theta[tail_deg]),
-                          ScalarErrorAccumulator(theta[low_deg])};
-            },
-            [&](std::size_t, Rng& rng, Pair& acc) {
+        const auto make_pair = [&] {
+          return Pair{ScalarErrorAccumulator(theta[tail_deg]),
+                      ScalarErrorAccumulator(theta[low_deg])};
+        };
+        return ReplicationRunner(runs, 999).map_reduce(
+            make_pair(),
+            [&](std::size_t, Rng& rng) {
+              Pair acc = make_pair();
               const auto est = estimate(rng);
               acc.tail.add_run(tail_deg < est.size() ? est[tail_deg] : 0.0);
               acc.low.add_run(low_deg < est.size() ? est[low_deg] : 0.0);
+              return acc;
             },
-            [](Pair& d, const Pair& s) {
+            [](Pair& d, Pair&& s) {
               d.tail.merge(s.tail);
               d.low.merge(s.low);
-            },
-            0);
+            });
       };
 
   const RandomVertexSampler rv(g, {.budget = budget});
@@ -237,14 +239,15 @@ TEST(FlickrSurrogate, FsBeatsMultipleRwOnGroupDensities) {
 
   const auto mean_nmse =
       [&](const std::function<std::vector<Edge>(Rng&)>& sample) {
-        MseAccumulator acc = parallel_accumulate<MseAccumulator>(
-            runs, 555, [&] { return MseAccumulator(truth); },
-            [&](std::size_t, Rng& rng, MseAccumulator& out) {
+        MseAccumulator acc = ReplicationRunner(runs, 555).map_reduce(
+            MseAccumulator(truth),
+            [&](std::size_t, Rng& rng) {
+              MseAccumulator out(truth);
               out.add_run(estimate_group_densities(g, sample(rng), groups_of,
                                                    top));
+              return out;
             },
-            [](MseAccumulator& d, const MseAccumulator& s) { d.merge(s); },
-            0);
+            [](MseAccumulator& d, MseAccumulator&& s) { d.merge(s); });
         const auto curve = acc.normalized_rmse();
         return mean_positive(curve);
       };

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "estimators/density.hpp"
-#include "experiments/replicator.hpp"
+#include "experiments/replication_runner.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
 #include "sampling/single_rw.hpp"
@@ -91,16 +91,18 @@ TEST(BurnIn, ReducesTransientBiasOnSkewedStart) {
   const auto bias_with = [&](std::uint64_t burn) {
     const SingleRandomWalk walker(
         g, {.steps = 200, .fixed_start = VertexId{0}, .burn_in = burn});
-    ScalarErrorAccumulator acc = parallel_accumulate<ScalarErrorAccumulator>(
-        600, 99, [&] { return ScalarErrorAccumulator(truth); },
-        [&](std::size_t, Rng& run_rng, ScalarErrorAccumulator& a) {
+    const ReplicationRunner runner(600, 99);
+    ScalarErrorAccumulator acc = runner.map_reduce(
+        ScalarErrorAccumulator(truth),
+        [&](std::size_t, Rng& run_rng) {
+          ScalarErrorAccumulator a(truth);
           a.add_run(estimate_vertex_label_density(
               g, walker.run(run_rng).edges, pred));
+          return a;
         },
-        [](ScalarErrorAccumulator& a, const ScalarErrorAccumulator& b) {
+        [](ScalarErrorAccumulator& a, ScalarErrorAccumulator&& b) {
           a.merge(b);
-        },
-        0);
+        });
     return std::abs(acc.relative_bias());
   };
   // Vertex 0 is the oldest (hub-like) vertex: starting there biases the

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "stream/sampler_cursors.hpp"
 
 namespace frontier {
 namespace {
@@ -68,6 +71,22 @@ TEST(MetropolisHastings, FixedStart) {
                                   {.steps = 10, .fixed_start = VertexId{2}});
   const SampleRecord rec = mh.run(rng);
   EXPECT_EQ(rec.starts.front(), 2u);
+}
+
+TEST(MetropolisHastings, FixedStartValidation) {
+  // A walk pinned to an isolated vertex has no neighbor to propose; both
+  // the sampler and the cursor must refuse it instead of stepping.
+  GraphBuilder b(3);
+  b.add_undirected_edge(0, 1);  // vertex 2 isolated
+  const Graph g = b.build();
+  const MetropolisHastingsWalk::Config isolated{.steps = 5,
+                                                .fixed_start = VertexId{2}};
+  const MetropolisHastingsWalk::Config outside{.steps = 5,
+                                               .fixed_start = VertexId{9}};
+  EXPECT_THROW(MetropolisHastingsWalk(g, isolated), std::invalid_argument);
+  EXPECT_THROW(MetropolisCursor(g, isolated, Rng(1)), std::invalid_argument);
+  EXPECT_THROW(MetropolisHastingsWalk(g, outside), std::out_of_range);
+  EXPECT_THROW(MetropolisCursor(g, outside, Rng(1)), std::out_of_range);
 }
 
 }  // namespace

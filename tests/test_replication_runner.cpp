@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -71,6 +72,28 @@ TEST(ReplicationRunner, ExceptionsPropagate) {
   }
 }
 
+TEST(ReplicationRunner, ForEachRunsEveryIndexOnceOnItsOwnStream) {
+  // for_each keeps no results, so the body records them itself: every run
+  // index exactly once, each drawing from split_stream(run).
+  const Rng base(7);
+  for (const std::size_t threads : {1u, 4u, 6u}) {
+    std::mutex mu;
+    std::vector<int> visits(100, 0);
+    std::vector<double> draws(100, 0.0);
+    ReplicationRunner(100, 7, threads).for_each([&](std::size_t r, Rng& rng) {
+      const double value = uniform01(rng);
+      const std::lock_guard<std::mutex> lock(mu);
+      ++visits[r];
+      draws[r] = value;
+    });
+    for (std::size_t r = 0; r < visits.size(); ++r) {
+      EXPECT_EQ(visits[r], 1) << "run " << r << ", threads " << threads;
+      Rng expected = base.split_stream(r);
+      EXPECT_EQ(draws[r], uniform01(expected)) << "run " << r;
+    }
+  }
+}
+
 /// Replicated sampler edges for a given thread count.
 template <typename Sampler>
 std::vector<std::vector<Edge>> replicate_edges(const Sampler& sampler,
@@ -112,24 +135,26 @@ TEST(ReplicationRunner, MetropolisHastingsBitIdentical) {
   expect_bit_identical(mh);
 }
 
-TEST(ReplicationRunner, ParallelAccumulateBitIdenticalAcrossThreadCounts) {
-  // The legacy wrapper inherits the run-order fold: MseAccumulator curves
-  // come out bitwise equal for any thread count.
+TEST(ReplicationRunner, AccumulatorMergeBitIdenticalAcrossThreadCounts) {
+  // Per-run accumulators merged in run order: MseAccumulator curves come
+  // out bitwise equal for any thread count.
   Rng graph_rng(8);
   const Graph g = barabasi_albert(300, 3, graph_rng);
   const FrontierSampler fs(g, {.dimension = 8, .steps = 300});
   const auto truth = degree_distribution(g, DegreeKind::kSymmetric);
   const auto run_with = [&](std::size_t threads) {
-    return parallel_accumulate<MseAccumulator>(
-        10, 42, [&] { return MseAccumulator(truth); },
-        [&](std::size_t, Rng& rng, MseAccumulator& acc) {
-          acc.add_run(estimate_degree_distribution(g, fs.run(rng).edges,
-                                                   DegreeKind::kSymmetric));
-        },
-        [](MseAccumulator& dst, const MseAccumulator& src) {
-          dst.merge(src);
-        },
-        threads);
+    return ReplicationRunner(10, 42, threads)
+        .map_reduce(
+            MseAccumulator(truth),
+            [&](std::size_t, Rng& rng) {
+              MseAccumulator acc(truth);
+              acc.add_run(estimate_degree_distribution(
+                  g, fs.run(rng).edges, DegreeKind::kSymmetric));
+              return acc;
+            },
+            [](MseAccumulator& dst, MseAccumulator&& src) {
+              dst.merge(src);
+            });
   };
   const auto c1 = run_with(1).normalized_rmse();
   const auto c2 = run_with(2).normalized_rmse();

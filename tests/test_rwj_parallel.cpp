@@ -1,6 +1,7 @@
 // RandomWalkWithJumps and ParallelFrontierSampler.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "sampling/distributed_fs.hpp"
 #include "sampling/parallel_fs.hpp"
 #include "sampling/random_walk_with_jumps.hpp"
+#include "stream/sampler_cursors.hpp"
 
 namespace frontier {
 namespace {
@@ -22,6 +24,33 @@ TEST(RandomWalkWithJumps, ValidatesConfig) {
   EXPECT_THROW(RandomWalkWithJumps(
                    g, {.budget = 10, .cost = {.hit_ratio = 0.0}}),
                std::invalid_argument);
+}
+
+TEST(RandomWalkWithJumps, RejectsConfigsThatNeverTerminate) {
+  // A jump that costs nothing never drains the budget, and a non-finite
+  // budget is never drained: a run would grow its record until memory
+  // runs out. The sampler and the cursor run the same check.
+  const Graph g = cycle_graph(4);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<RandomWalkWithJumps::Config> bad = {
+      {.budget = 10, .cost = {.jump_cost = 0.0}},
+      {.budget = 10, .cost = {.jump_cost = -1.0}},
+      {.budget = 10, .cost = {.jump_cost = nan}},
+      {.budget = nan},
+      {.budget = inf},
+      {.budget = -inf},
+  };
+  for (const auto& config : bad) {
+    EXPECT_THROW(RandomWalkWithJumps(g, config), std::invalid_argument)
+        << "budget " << config.budget << ", c " << config.cost.jump_cost;
+    EXPECT_THROW(RwjCursor(g, config, Rng(1)), std::invalid_argument)
+        << "budget " << config.budget << ", c " << config.cost.jump_cost;
+  }
+  // A negative finite budget stays legal: the run is empty.
+  Rng rng(2);
+  const RandomWalkWithJumps empty(g, {.budget = -1.0});
+  EXPECT_TRUE(empty.run(rng).vertices.empty());
 }
 
 TEST(RandomWalkWithJumps, ZeroJumpProbabilityIsPlainWalk) {

@@ -59,14 +59,29 @@ TEST(SingleRandomWalk, StationaryVisitLawIsDegreeProportional) {
   }
 }
 
-TEST(SingleRandomWalk, EdgesAreChained) {
+TEST(SingleRandomWalk, EdgesAreChainedGraphEdges) {
   Rng rng(5);
-  const Graph g = barabasi_albert(100, 2, rng);
-  const SingleRandomWalk walker(g, {.steps = 100});
+  const Graph g = barabasi_albert(200, 2, rng);
+  const SingleRandomWalk walker(g, {.steps = 500, .fixed_start = VertexId{0}});
   const SampleRecord rec = walker.run(rng);
-  for (std::size_t i = 1; i < rec.edges.size(); ++i) {
-    EXPECT_EQ(rec.edges[i].u, rec.edges[i - 1].v);
+  ASSERT_EQ(rec.edges.size(), 500u);
+  EXPECT_EQ(rec.edges.front().u, 0u);
+  for (std::size_t i = 0; i < rec.edges.size(); ++i) {
+    EXPECT_TRUE(g.has_edge(rec.edges[i].u, rec.edges[i].v)) << "step " << i;
+    if (i > 0) {
+      EXPECT_EQ(rec.edges[i].u, rec.edges[i - 1].v) << "step " << i;
+    }
   }
+}
+
+TEST(SingleRandomWalk, ZeroStepsIsEmpty) {
+  Rng rng(7);
+  const Graph g = cycle_graph(4);
+  const SingleRandomWalk walker(g, {.steps = 0, .fixed_start = VertexId{2}});
+  const SampleRecord rec = walker.run(rng);
+  EXPECT_TRUE(rec.edges.empty());
+  EXPECT_EQ(rec.starts, std::vector<VertexId>{2});
+  EXPECT_DOUBLE_EQ(rec.cost, 1.0);
 }
 
 TEST(MultipleRandomWalks, RejectsZeroWalkers) {

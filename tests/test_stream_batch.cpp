@@ -91,12 +91,14 @@ std::vector<EventRec> collect_batched(SamplerCursor& cursor, std::size_t k) {
 }
 
 /// Asserts serial next() and next_batch(K) agree for every K, in events,
-/// starts, cost and final RNG position.
+/// starts, cost and final RNG position. Only a config whose budget buys
+/// no step at all may pass `expect_events = false`.
 template <typename MakeCursor>
-void check_batch_equivalence(MakeCursor make_cursor) {
+void check_batch_equivalence(MakeCursor make_cursor,
+                             bool expect_events = true) {
   auto serial = make_cursor();
   const std::vector<EventRec> expected = collect_serial(*serial);
-  ASSERT_FALSE(expected.empty());
+  ASSERT_EQ(!expected.empty(), expect_events);
   for (const std::size_t k : kBatchSizes) {
     auto batched = make_cursor();
     const std::vector<EventRec> got = collect_batched(*batched, k);
@@ -181,6 +183,51 @@ TEST(StreamBatch, MetropolisAllBatchSizes) {
   });
 }
 
+// ------------------------------------------------------ boundary configs
+//
+// Configs that reach the rarely-taken branches of next_batch: a walker
+// with no steps, a budget that cannot pay the first jump, a walk made of
+// jumps only, a pinned start, and a burn-in with nothing after it.
+
+TEST(StreamBatch, BoundaryConfigsAllBatchSizes) {
+  const Graph g = test_graph();
+  check_batch_equivalence([&] {
+    return std::make_unique<MultipleRwCursor>(
+        g,
+        MultipleRandomWalks::Config{.num_walkers = 5, .steps_per_walker = 0},
+        Rng(14));
+  });
+  check_batch_equivalence(
+      [&] {
+        return std::make_unique<RwjCursor>(
+            g,
+            RandomWalkWithJumps::Config{.budget = 1.5,
+                                        .cost = {.jump_cost = 2.0}},
+            Rng(15));
+      },
+      /*expect_events=*/false);
+  check_batch_equivalence([&] {
+    return std::make_unique<RwjCursor>(
+        g,
+        RandomWalkWithJumps::Config{
+            .budget = 500.0,
+            .jump_probability = 1.0,
+            .cost = {.jump_cost = 1.0, .hit_ratio = 0.7}},
+        Rng(16));
+  });
+  check_batch_equivalence([&] {
+    return std::make_unique<MetropolisCursor>(
+        g,
+        MetropolisHastingsWalk::Config{.steps = 1000,
+                                       .fixed_start = VertexId{17}},
+        Rng(17));
+  });
+  check_batch_equivalence([&] {
+    return std::make_unique<SingleRwCursor>(
+        g, SingleRandomWalk::Config{.steps = 0, .burn_in = 300}, Rng(18));
+  });
+}
+
 // ------------------------------------------------------------------ sinks
 
 /// Serializes every sink; the byte string is the complete numeric state.
@@ -209,25 +256,18 @@ SinkSet make_sinks(const Graph& g) {
   return sinks;
 }
 
-/// ingest_block must accumulate bit-identically to per-event consume()
-/// for every sink type, on blocks containing edge, vertex, mixed and
-/// empty rows (the MH + RWJ cursors produce all four).
-TEST(StreamBatch, SinkBlockIngestMatchesConsume) {
+/// Every sink type's state is bit-identical for every block capacity K
+/// (K=1 is the row-at-a-time reference), on blocks containing edge,
+/// vertex, mixed and empty rows (the MH + RWJ cursors produce all four).
+TEST(StreamBatch, SinkStateIndependentOfBlockCapacity) {
   const Graph g = test_graph();
-  const auto drive = [&](bool use_blocks, auto make_cursor) {
+  const auto drive = [&](std::size_t k, auto make_cursor) {
     SinkSet sinks = make_sinks(g);
-    auto cursor_owner = make_cursor();
-    SamplerCursor& cursor = *cursor_owner;
-    if (use_blocks) {
-      StreamEventBlock block(64);
-      while (cursor.next_batch(block) > 0) {
-        for (const auto& sink : sinks) sink->ingest_block(block);
-      }
-    } else {
-      StreamEvent ev;
-      while (cursor.next(ev)) {
-        for (const auto& sink : sinks) sink->consume(ev);
-      }
+    auto owner = make_cursor();
+    SamplerCursor& cursor = *owner;
+    StreamEventBlock block(k);
+    while (cursor.next_batch(block) > 0) {
+      for (const auto& sink : sinks) sink->ingest_block(block);
     }
     return sink_state(sinks);
   };
@@ -246,9 +286,14 @@ TEST(StreamBatch, SinkBlockIngestMatchesConsume) {
     return std::make_unique<FrontierCursor>(
         g, FrontierSampler::Config{.dimension = 16, .steps = 4000}, Rng(23));
   };
-  EXPECT_EQ(drive(true, mh), drive(false, mh));
-  EXPECT_EQ(drive(true, rwj), drive(false, rwj));
-  EXPECT_EQ(drive(true, fs), drive(false, fs));
+  const std::string mh_state = drive(1, mh);
+  const std::string rwj_state = drive(1, rwj);
+  const std::string fs_state = drive(1, fs);
+  for (const std::size_t k : kBatchSizes) {
+    EXPECT_EQ(drive(k, mh), mh_state) << "MH K=" << k;
+    EXPECT_EQ(drive(k, rwj), rwj_state) << "RWJ K=" << k;
+    EXPECT_EQ(drive(k, fs), fs_state) << "FS K=" << k;
+  }
 }
 
 // ------------------------------------------------- checkpoint mid-block

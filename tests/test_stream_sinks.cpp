@@ -1,5 +1,6 @@
-// Online sinks vs batch estimators: fed the same edge/vertex sequence,
-// every sink must produce bit-identical output to its batch counterpart.
+// Online sinks vs batch estimators: fed the same edge/vertex sequence in
+// StreamEventBlocks of any capacity, every sink must produce bit-identical
+// output to its batch counterpart.
 #include "stream/sinks.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "sampling/frontier_sampler.hpp"
 #include "sampling/metropolis.hpp"
 #include "sampling/single_rw.hpp"
+#include "stream/block.hpp"
 #include "stream/engine.hpp"
 #include "stream/sampler_cursors.hpp"
 
@@ -25,26 +27,42 @@ Graph test_graph() {
   return barabasi_albert(300, 3, rng);
 }
 
-// Streams the batch record's events straight into a sink, so sink output
-// can be compared against the batch estimator over the identical sequence.
-void feed_edges(EstimatorSink& sink, const SampleRecord& rec) {
-  StreamEvent ev;
-  for (const Edge& e : rec.edges) {
-    ev.clear();
-    ev.edge = e;
-    ev.has_edge = true;
-    sink.consume(ev);
+constexpr std::size_t kBlockSizes[] = {1, 7, 64, 4096};
+
+// Packs `count` rows, written by push(block, i), into blocks of capacity
+// k and ingests each full block, then the partial tail.
+template <typename Push>
+void feed_rows(EstimatorSink& sink, std::size_t k, std::size_t count,
+               Push push) {
+  StreamEventBlock block(k);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (block.room() == 0) {
+      sink.ingest_block(block);
+      block.clear();
+    }
+    push(block, i);
   }
+  sink.ingest_block(block);
 }
 
-void feed_vertices(EstimatorSink& sink, const SampleRecord& rec) {
-  StreamEvent ev;
-  for (VertexId v : rec.vertices) {
-    ev.clear();
-    ev.vertex = v;
-    ev.has_vertex = true;
-    sink.consume(ev);
-  }
+// Streams the batch record's edges into a sink, with the degree column a
+// cursor over g would fill, so sink output can be compared against the
+// batch estimator over the identical sequence.
+void feed_edges(EstimatorSink& sink, const Graph& g, const SampleRecord& rec,
+                std::size_t k) {
+  feed_rows(sink, k, rec.edges.size(),
+            [&](StreamEventBlock& block, std::size_t i) {
+              const Edge& e = rec.edges[i];
+              block.push_edge(e.u, e.v, g.degree(e.v));
+            });
+}
+
+void feed_vertices(EstimatorSink& sink, const SampleRecord& rec,
+                   std::size_t k) {
+  feed_rows(sink, k, rec.vertices.size(),
+            [&](StreamEventBlock& block, std::size_t i) {
+              block.push_vertex(rec.vertices[i]);
+            });
 }
 
 SampleRecord fs_record(const Graph& g, std::uint64_t seed,
@@ -57,37 +75,45 @@ SampleRecord fs_record(const Graph& g, std::uint64_t seed,
 TEST(StreamSinks, DegreeDistributionMatchesBatch) {
   const Graph g = test_graph();
   const SampleRecord rec = fs_record(g, 5, 20000);
-  DegreeDistributionSink sink(g, DegreeKind::kSymmetric);
-  feed_edges(sink, rec);
   const auto batch = estimate_degree_distribution(g, rec.edges,
                                                   DegreeKind::kSymmetric);
-  const auto streamed = sink.distribution();
-  ASSERT_EQ(batch.size(), streamed.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch[i], streamed[i]) << "bucket " << i;  // bitwise
-  }
   const auto batch_ccdf = estimate_degree_ccdf(g, rec.edges,
                                                DegreeKind::kSymmetric);
-  EXPECT_EQ(batch_ccdf, sink.ccdf());
-  EXPECT_EQ(sink.edges_consumed(), rec.edges.size());
+  for (const std::size_t k : kBlockSizes) {
+    DegreeDistributionSink sink(g, DegreeKind::kSymmetric);
+    feed_edges(sink, g, rec, k);
+    const auto streamed = sink.distribution();
+    ASSERT_EQ(batch.size(), streamed.size()) << "K=" << k;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(batch[i], streamed[i]) << "K=" << k << " bucket " << i;
+    }
+    EXPECT_EQ(batch_ccdf, sink.ccdf()) << "K=" << k;
+    EXPECT_EQ(sink.edges_consumed(), rec.edges.size()) << "K=" << k;
+  }
 }
 
 TEST(StreamSinks, DegreeDistributionInDegreeKind) {
   const Graph g = test_graph();
   const SampleRecord rec = fs_record(g, 6, 10000);
-  DegreeDistributionSink sink(g, DegreeKind::kIn);
-  feed_edges(sink, rec);
-  EXPECT_EQ(estimate_degree_distribution(g, rec.edges, DegreeKind::kIn),
-            sink.distribution());
+  const auto batch =
+      estimate_degree_distribution(g, rec.edges, DegreeKind::kIn);
+  for (const std::size_t k : kBlockSizes) {
+    DegreeDistributionSink sink(g, DegreeKind::kIn);
+    feed_edges(sink, g, rec, k);
+    EXPECT_EQ(batch, sink.distribution()) << "K=" << k;
+  }
 }
 
 TEST(StreamSinks, VertexDensityMatchesBatch) {
   const Graph g = test_graph();
   const SampleRecord rec = fs_record(g, 7, 15000);
   const auto pred = [&g](VertexId v) { return g.degree(v) > 5; };
-  VertexDensitySink sink(g, pred);
-  feed_edges(sink, rec);
-  EXPECT_EQ(estimate_vertex_label_density(g, rec.edges, pred), sink.value());
+  const double batch = estimate_vertex_label_density(g, rec.edges, pred);
+  for (const std::size_t k : kBlockSizes) {
+    VertexDensitySink sink(g, pred);
+    feed_edges(sink, g, rec, k);
+    EXPECT_EQ(batch, sink.value()) << "K=" << k;
+  }
 }
 
 TEST(StreamSinks, EdgeDensityMatchesBatch) {
@@ -95,32 +121,44 @@ TEST(StreamSinks, EdgeDensityMatchesBatch) {
   const SampleRecord rec = fs_record(g, 8, 15000);
   const auto labeled = [](const Edge& e) { return e.u % 2 == 0; };
   const auto has_label = [](const Edge& e) { return e.v % 3 == 0; };
-  EdgeDensitySink sink(labeled, has_label);
-  feed_edges(sink, rec);
-  EXPECT_EQ(estimate_edge_label_density(rec.edges, labeled, has_label),
-            sink.value());
+  const double batch =
+      estimate_edge_label_density(rec.edges, labeled, has_label);
+  for (const std::size_t k : kBlockSizes) {
+    EdgeDensitySink sink(labeled, has_label);
+    feed_edges(sink, g, rec, k);
+    EXPECT_EQ(batch, sink.value()) << "K=" << k;
+  }
 }
 
 TEST(StreamSinks, AssortativityMatchesBatch) {
   const Graph g = test_graph();
   const SampleRecord rec = fs_record(g, 9, 15000);
-  AssortativitySink sink(g);
-  feed_edges(sink, rec);
-  EXPECT_EQ(estimate_assortativity(g, rec.edges), sink.value());
+  const double batch = estimate_assortativity(g, rec.edges);
+  for (const std::size_t k : kBlockSizes) {
+    AssortativitySink sink(g);
+    feed_edges(sink, g, rec, k);
+    EXPECT_EQ(batch, sink.value()) << "K=" << k;
+  }
 }
 
 TEST(StreamSinks, GraphMomentsMatchBatch) {
   const Graph g = test_graph();
   const SampleRecord rec = fs_record(g, 10, 15000);
-  GraphMomentsSink sink(g, 3);
-  feed_edges(sink, rec);
-  EXPECT_EQ(estimate_average_degree(g, rec.edges), sink.average_degree());
-  EXPECT_EQ(estimate_degree_moment(g, rec.edges, 1), sink.degree_moment(1));
-  EXPECT_EQ(estimate_degree_moment(g, rec.edges, 2), sink.degree_moment(2));
-  EXPECT_EQ(estimate_degree_moment(g, rec.edges, 3), sink.degree_moment(3));
-  EXPECT_EQ(estimate_volume(g, rec.edges, 300.0), sink.volume(300.0));
-  EXPECT_THROW((void)sink.degree_moment(4), std::out_of_range);
-  EXPECT_EQ(sink.observed_degrees().count(), rec.edges.size());
+  for (const std::size_t k : kBlockSizes) {
+    GraphMomentsSink sink(g, 3);
+    feed_edges(sink, g, rec, k);
+    EXPECT_EQ(estimate_average_degree(g, rec.edges), sink.average_degree())
+        << "K=" << k;
+    for (unsigned m = 1; m <= 3; ++m) {
+      EXPECT_EQ(estimate_degree_moment(g, rec.edges, m),
+                sink.degree_moment(m))
+          << "K=" << k << " moment " << m;
+    }
+    EXPECT_EQ(estimate_volume(g, rec.edges, 300.0), sink.volume(300.0))
+        << "K=" << k;
+    EXPECT_THROW((void)sink.degree_moment(4), std::out_of_range);
+    EXPECT_EQ(sink.observed_degrees().count(), rec.edges.size());
+  }
 }
 
 TEST(StreamSinks, UniformDegreeMatchesBatchOnMhVisits) {
@@ -128,10 +166,13 @@ TEST(StreamSinks, UniformDegreeMatchesBatchOnMhVisits) {
   const MetropolisHastingsWalk mh(g, {.steps = 10000});
   Rng rng(11);
   const SampleRecord rec = mh.run(rng);
-  UniformDegreeSink sink(g);
-  feed_vertices(sink, rec);
-  EXPECT_EQ(estimate_average_degree_uniform(g, rec.vertices), sink.value());
-  EXPECT_EQ(sink.vertices_consumed(), rec.vertices.size());
+  const double batch = estimate_average_degree_uniform(g, rec.vertices);
+  for (const std::size_t k : kBlockSizes) {
+    UniformDegreeSink sink(g);
+    feed_vertices(sink, rec, k);
+    EXPECT_EQ(batch, sink.value()) << "K=" << k;
+    EXPECT_EQ(sink.vertices_consumed(), rec.vertices.size()) << "K=" << k;
+  }
 }
 
 TEST(StreamSinks, EmptyStreamsGiveZeroEstimates) {
@@ -146,14 +187,27 @@ TEST(StreamSinks, EmptyStreamsGiveZeroEstimates) {
   EXPECT_EQ(ud.value(), 0.0);
 }
 
-TEST(StreamSinks, EdgeSinksIgnoreVertexOnlyEvents) {
+TEST(StreamSinks, SinksIgnoreRowsWithoutTheirObservation) {
+  // Edge sinks skip vertex-only and empty rows; the vertex sink skips
+  // edge-only and empty rows.
   const Graph g = test_graph();
-  GraphMomentsSink sink(g);
-  StreamEvent ev;
-  ev.vertex = 0;
-  ev.has_vertex = true;
-  sink.consume(ev);
-  EXPECT_EQ(sink.edges_consumed(), 0u);
+  StreamEventBlock block(4);
+  block.push_vertex(0);
+  block.push_empty();
+  GraphMomentsSink moments(g);
+  moments.ingest_block(block);
+  EXPECT_EQ(moments.edges_consumed(), 0u);
+  DegreeDistributionSink dd(g, DegreeKind::kSymmetric);
+  dd.ingest_block(block);
+  EXPECT_EQ(dd.edges_consumed(), 0u);
+
+  block.clear();
+  const VertexId v = g.neighbors(0)[0];
+  block.push_edge(0, v, g.degree(v));
+  block.push_empty();
+  UniformDegreeSink uniform(g);
+  uniform.ingest_block(block);
+  EXPECT_EQ(uniform.vertices_consumed(), 0u);
 }
 
 TEST(StreamSinks, EngineFeedsAllSinksAndCountsEvents) {

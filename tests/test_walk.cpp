@@ -77,27 +77,5 @@ TEST(StepUniformNeighbor, UniformOverNeighbors) {
   }
 }
 
-TEST(WalkFrom, ProducesChainedValidEdges) {
-  Rng rng(6);
-  const Graph g = barabasi_albert(200, 2, rng);
-  std::vector<Edge> edges;
-  walk_from(g, 0, 500, rng, edges);
-  ASSERT_EQ(edges.size(), 500u);
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    EXPECT_TRUE(g.has_edge(edges[i].u, edges[i].v)) << "step " << i;
-    if (i > 0) {
-      EXPECT_EQ(edges[i].u, edges[i - 1].v) << "step " << i;
-    }
-  }
-}
-
-TEST(WalkFrom, ZeroStepsIsEmpty) {
-  Rng rng(7);
-  const Graph g = cycle_graph(4);
-  std::vector<Edge> edges;
-  walk_from(g, 2, 0, rng, edges);
-  EXPECT_TRUE(edges.empty());
-}
-
 }  // namespace
 }  // namespace frontier

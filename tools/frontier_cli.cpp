@@ -326,8 +326,10 @@ int cmd_stream(const ParsedArgs& args) {
   if (!estimates_json.empty()) {
     // Durable replace: the crash harness cmp's this file against served
     // runs, so it must never be observable half-written.
-    durable_write_file(estimates_json,
-                       "{" + estimates_fields(spec, engine) + "}\n");
+    std::string body = "{";
+    body += estimates_fields(spec, engine);
+    body += "}\n";
+    durable_write_file(estimates_json, body);
     std::cout << "estimates written to " << estimates_json << "\n";
   }
 

@@ -324,7 +324,10 @@ std::string estimates_file_body(const std::string& response) {
       response.back() != '}') {
     throw IoError("connect: malformed estimates response: " + response);
   }
-  return "{" + response.substr(start, response.size() - start - 1) + "}\n";
+  std::string body = "{";
+  body.append(response, start, response.size() - start - 1);
+  body += "}\n";
+  return body;
 }
 
 /// Best-effort (op, session) of a request line; empty fields when the
