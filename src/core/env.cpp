@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace frontier {
 namespace {
@@ -51,7 +52,8 @@ double env_double(const std::string& name, double fallback) {
   return value;
 }
 
-std::uint64_t env_u64(const std::string& name, std::uint64_t fallback) {
+std::uint64_t env_u64(const std::string& name, std::uint64_t fallback,
+                      std::uint64_t max) {
   const char* raw = env_raw(name);
   if (raw == nullptr) return fallback;
   // strtoull silently wraps negative input ("-3" becomes 2^64-3); reject
@@ -66,6 +68,9 @@ std::uint64_t env_u64(const std::string& name, std::uint64_t fallback) {
     parse_fail(name, raw, "a non-negative integer");
   }
   if (errno == ERANGE) parse_fail(name, raw, "an integer below 2^64");
+  if (value > max) {
+    parse_fail(name, raw, "an integer at most " + std::to_string(max));
+  }
   return static_cast<std::uint64_t>(value);
 }
 

@@ -20,6 +20,15 @@
 // reweighting sink needs that value anyway (the 1/deg importance weight
 // of eq. 7), and the cursor usually has it at hand (FS updates its
 // Fenwick tree with it), so the block computes it once for all sinks.
+//
+// The codegree column f(u,v) = |N(u) ∩ N(v)| is derived, not written by
+// the cursor: the first sink that reads it after a fill runs the
+// sorted-adjacency merge for every edge row, and every later reader of
+// the same fill (the triangle and clustering sinks both need f) gets the
+// same span. The memo is keyed on the graph and on the number of rows
+// already computed: clear() resets it (so push_* pays nothing for it), a
+// read after appends computes only the new rows, and a read with another
+// graph recomputes them all.
 #pragma once
 
 #include <cstddef>
@@ -36,8 +45,16 @@ namespace frontier {
 /// clamped to >= 1; 4096 when unset. Read once per process. The batched
 /// pipeline is bit-identical for every capacity — the knob exists so CI
 /// can prove that (K=1 vs K=4096 result fingerprints must match), not to
-/// tune results.
+/// tune results. Values above kMaxBlockCapacity are rejected with
+/// std::invalid_argument, like malformed ones.
 [[nodiscard]] std::size_t default_block_capacity();
+
+/// Ceiling on FS_BLOCK: 2^20 rows (~17 MiB of columns). Past a few
+/// thousand rows a larger block buys nothing, and an unbounded knob turns
+/// a typo into an allocation failure.
+inline constexpr std::uint64_t kMaxBlockCapacity = std::uint64_t{1} << 20;
+
+class Graph;
 
 class StreamEventBlock {
  public:
@@ -53,7 +70,10 @@ class StreamEventBlock {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t room() const noexcept { return cap_ - size_; }
-  void clear() noexcept { size_ = 0; }
+  void clear() noexcept {
+    size_ = 0;
+    codegree_rows_ = 0;
+  }
 
   // Writer API (cursors). Precondition: size() < capacity(). Rows not
   // carrying an edge (resp. vertex) leave those columns stale; readers
@@ -95,6 +115,10 @@ class StreamEventBlock {
   [[nodiscard]] std::span<const std::uint8_t> flags() const noexcept {
     return {flags_.data(), size_};
   }
+  /// Codegree |N(u) ∩ N(v)| in g, valid on edge rows; memoised as the
+  /// file comment says. The memo makes this const call a write, so one
+  /// thread at a time may read a block.
+  [[nodiscard]] std::span<const std::uint32_t> codegree(const Graph& g) const;
 
  private:
   std::vector<VertexId> u_;
@@ -104,6 +128,10 @@ class StreamEventBlock {
   std::vector<std::uint8_t> flags_;
   std::size_t size_ = 0;
   std::size_t cap_;
+  // Memoised codegree column; grows to the most rows ever filled.
+  mutable std::vector<std::uint32_t> codegree_;
+  mutable const Graph* codegree_graph_ = nullptr;
+  mutable std::size_t codegree_rows_ = 0;
 };
 
 }  // namespace frontier

@@ -24,13 +24,11 @@ TriangleSink::TriangleSink(const Graph& g) : graph_(&g) {}
 void TriangleSink::ingest_block(const StreamEventBlock& block) {
   const std::size_t sz = block.size();
   const std::uint8_t* flags = block.flags().data();
-  const VertexId* u = block.u().data();
-  const VertexId* v = block.v().data();
   const std::uint32_t* deg = block.deg_v().data();
-  const Graph& g = *graph_;
+  const std::uint32_t* f = block.codegree(*graph_).data();
   for (std::size_t i = 0; i < sz; ++i) {
     if (!(flags[i] & kHasEdge)) continue;
-    shared_sum_ += shared_neighbors(g, u[i], v[i]);
+    shared_sum_ += f[i];
     wedge_sum_ += deg[i] - 1;
     ++n_;
   }
@@ -78,7 +76,7 @@ void ClusteringSink::ingest_block(const StreamEventBlock& block) {
   const std::size_t sz = block.size();
   const std::uint8_t* flags = block.flags().data();
   const VertexId* u = block.u().data();
-  const VertexId* v = block.v().data();
+  const std::uint32_t* codegree = block.codegree(*graph_).data();
   const Graph& g = *graph_;
   for (std::size_t i = 0; i < sz; ++i) {
     if (!(flags[i] & kHasEdge)) continue;
@@ -88,7 +86,7 @@ void ClusteringSink::ingest_block(const StreamEventBlock& block) {
     // Same arithmetic, same order as estimate_global_clustering.
     const double deg = static_cast<double>(d);
     s_ += 1.0 / deg;
-    const std::uint32_t f = shared_neighbors(g, u[i], v[i]);
+    const std::uint32_t f = codegree[i];
     const double pairs = deg * (deg - 1.0) / 2.0;
     num_ += static_cast<double>(f) / (2.0 * pairs);
     if (d >= count_.size()) {

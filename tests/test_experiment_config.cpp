@@ -75,6 +75,13 @@ TEST(ExperimentConfig, MalformedEnvValuesThrow) {
   }
 }
 
+TEST(ExperimentConfig, IntegerKnobCeilingIsInclusive) {
+  ScopedEnv env("FS_TEST_CEILING", "1048576");
+  EXPECT_EQ(env_u64("FS_TEST_CEILING", 1, 1048576), 1048576u);
+  EXPECT_THROW((void)env_u64("FS_TEST_CEILING", 1, 1048575),
+               std::invalid_argument);
+}
+
 TEST(ExperimentConfig, WellFormedEnvValuesParse) {
   ScopedEnv runs("FS_RUNS", "0.25");
   ScopedEnv scale("FS_SCALE", " 2.5 ");  // surrounding whitespace is fine
