@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "graph/intersect.hpp"
 #include "graph/metrics.hpp"
 
 namespace frontier {
@@ -23,20 +24,8 @@ std::uint64_t choose3(std::uint64_t n) {
 void common_neighbors(const Graph& g, VertexId u, VertexId v,
                       std::vector<VertexId>& out) {
   out.clear();
-  const auto a = g.neighbors(u);
-  const auto b = g.neighbors(v);
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      out.push_back(a[i]);
-      ++i;
-      ++j;
-    }
-  }
+  intersect_sorted(g.neighbors(u), g.neighbors(v),
+                   [&out](VertexId x) { out.push_back(x); });
 }
 
 void require_simple_graph(const Graph& g) {

@@ -28,7 +28,8 @@ namespace frontier {
 void require_simple_graph(const Graph& g);
 
 /// Appends N(u) ∩ N(v), sorted ascending, into `out` (cleared first) by
-/// merging the two sorted adjacency lists. |out| is f(u,v) of Section
+/// intersecting the two sorted adjacency lists (graph/intersect.hpp, the
+/// kernel shared_neighbors counts with). |out| is f(u,v) of Section
 /// 4.2.4; the list itself feeds the C4/K4 terms of the motif census.
 void common_neighbors(const Graph& g, VertexId u, VertexId v,
                       std::vector<VertexId>& out);

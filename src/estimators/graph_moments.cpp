@@ -1,6 +1,5 @@
 #include "estimators/graph_moments.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace frontier {
@@ -33,7 +32,7 @@ double estimate_degree_moment(const Graph& g, std::span<const Edge> edges,
   double s = 0.0;
   for (const Edge& e : edges) {
     const double deg = static_cast<double>(g.degree(e.v));
-    numerator += std::pow(deg, static_cast<double>(k) - 1.0);
+    numerator += degree_power(deg, k - 1);
     s += 1.0 / deg;
   }
   return s == 0.0 ? 0.0 : numerator / s;

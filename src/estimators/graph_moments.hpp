@@ -7,6 +7,7 @@
 // degree-moment generalization Σ deg^k estimators follow the same pattern.
 #pragma once
 
+#include <cmath>
 #include <span>
 
 #include "core/types.hpp"
@@ -22,6 +23,20 @@ namespace frontier {
 /// Average degree from uniform vertex samples (plain mean of degrees).
 [[nodiscard]] double estimate_average_degree_uniform(
     const Graph& g, std::span<const VertexId> vertices);
+
+/// deg^e for an integer-valued deg >= 0, bit-equal to
+/// std::pow(deg, double(e)). While the running product stays below 2^53
+/// every step is an exact integer, and so is pow's result; past that it
+/// falls back to std::pow. The one power behind both the batch
+/// estimate_degree_moment and the streaming GraphMomentsSink fold.
+[[nodiscard]] inline double degree_power(double deg, unsigned e) noexcept {
+  double p = 1.0;
+  for (unsigned i = 0; i < e; ++i) {
+    p *= deg;
+    if (p >= 0x1p53) return std::pow(deg, static_cast<double>(e));
+  }
+  return p;
+}
 
 /// k-th raw moment of the degree distribution, E[deg^k], from stationary
 /// edge samples: mean(deg(v_i)^{k-1}) / mean(deg(v_i)^{-1})^{0}... —

@@ -375,18 +375,25 @@ Graph read_v2_body(std::istream& is) {
   read_array(arrays.out_degree, h.num_vertices);
   read_array(arrays.in_degree, h.num_vertices);
   // The stream path already pays O(n + s); validate the payload's
-  // structure — offset monotonicity, neighbor bounds, direction-flag
-  // domain, degree sums — so a bit-flipped snapshot surfaces as IoError,
-  // not a downstream crash. (Per-vertex neighbor sortedness is the one
-  // invariant left unchecked.)
+  // structure — offset monotonicity, neighbor bounds, strictly increasing
+  // adjacency per vertex (the intersection kernel's precondition),
+  // direction-flag domain, degree sums — so a bit-flipped snapshot
+  // surfaces as IoError, not a downstream crash or a wrong codegree.
   if (arrays.offsets.front() != 0 ||
       arrays.offsets.back() != h.num_symmetric_edges ||
       !std::is_sorted(arrays.offsets.begin(), arrays.offsets.end())) {
     throw IoError("read_binary: inconsistent offset array");
   }
-  for (const VertexId v : arrays.neighbors) {
-    if (v >= h.num_vertices) {
-      throw IoError("read_binary: neighbor id out of range");
+  for (std::uint64_t u = 0; u < h.num_vertices; ++u) {
+    const std::uint64_t begin = arrays.offsets[u];
+    for (std::uint64_t k = begin; k < arrays.offsets[u + 1]; ++k) {
+      const VertexId v = arrays.neighbors[k];
+      if (v >= h.num_vertices) {
+        throw IoError("read_binary: neighbor id out of range");
+      }
+      if (k > begin && v <= arrays.neighbors[k - 1]) {
+        throw IoError("read_binary: unsorted adjacency");
+      }
     }
   }
   for (const EdgeDir d : arrays.directions) {

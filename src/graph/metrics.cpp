@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "graph/components.hpp"
+#include "graph/intersect.hpp"
 
 namespace frontier {
 
@@ -84,21 +85,9 @@ double exact_assortativity(const Graph& g) {
 
 std::uint32_t shared_neighbors(const Graph& g, VertexId u,
                                VertexId v) noexcept {
-  const auto a = g.neighbors(u);
-  const auto b = g.neighbors(v);
   std::uint32_t count = 0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
+  intersect_sorted(g.neighbors(u), g.neighbors(v),
+                   [&count](VertexId) { ++count; });
   return count;
 }
 

@@ -33,8 +33,9 @@ std::span<const std::uint32_t> StreamEventBlock::codegree(
     codegree_rows_ = 0;
   }
   if (codegree_.size() < size_) codegree_.resize(size_);
-  // Prefetch the adjacency of the edge row kAhead rows on: the merge of
-  // row i then overlaps the memory latency of row i + kAhead.
+  // Prefetch the adjacency of the edge row kAhead rows on: the
+  // intersection of row i then overlaps the memory latency of row
+  // i + kAhead.
   constexpr std::size_t kAhead = 8;
   for (std::size_t i = codegree_rows_; i < size_; ++i) {
     const std::size_t j = i + kAhead;

@@ -23,12 +23,12 @@
 //
 // The codegree column f(u,v) = |N(u) ∩ N(v)| is derived, not written by
 // the cursor: the first sink that reads it after a fill runs the
-// sorted-adjacency merge for every edge row, and every later reader of
-// the same fill (the triangle and clustering sinks both need f) gets the
-// same span. The memo is keyed on the graph and on the number of rows
-// already computed: clear() resets it (so push_* pays nothing for it), a
-// read after appends computes only the new rows, and a read with another
-// graph recomputes them all.
+// intersection kernel (graph/intersect.hpp) for every edge row, and every
+// later reader of the same fill (the triangle and clustering sinks both
+// need f) gets the same span. The memo is keyed on the graph and on the
+// number of rows already computed: clear() resets it (so push_* pays
+// nothing for it), a read after appends computes only the new rows, and a
+// read with another graph recomputes them all.
 #pragma once
 
 #include <cstddef>

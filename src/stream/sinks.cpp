@@ -1,8 +1,8 @@
 #include "stream/sinks.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
+#include "estimators/graph_moments.hpp"
 #include "stream/serialize.hpp"
 
 namespace frontier {
@@ -227,7 +227,7 @@ void GraphMomentsSink::ingest_block(const StreamEventBlock& block) {
     const double deg = static_cast<double>(deg_col[i]);
     s_ += 1.0 / deg;
     for (std::size_t k = 1; k <= moments; ++k) {
-      pow_sums_[k - 1] += std::pow(deg, static_cast<double>(k) - 1.0);
+      pow_sums_[k - 1] += degree_power(deg, static_cast<unsigned>(k - 1));
     }
     ++n_;
     observed_.add(deg);

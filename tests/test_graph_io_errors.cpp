@@ -237,6 +237,44 @@ TEST(BinaryErrors, CorruptV2PayloadRejectedByStreamPath) {
   }
 }
 
+TEST(BinaryErrors, UnsortedV2AdjacencyRejectedByStreamPath) {
+  // The intersection kernel assumes strictly increasing adjacency; the
+  // stream loader checks it. Corrupt vertex 0's list two ways: swap its
+  // first two neighbors, and repeat its first neighbor.
+  Rng rng(9);
+  const Graph g = barabasi_albert(50, 2, rng);
+  ASSERT_GE(g.degree(0), 2u);
+  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+  write_binary(g, ss);
+  const std::string bytes = ss.str();
+  const std::size_t neighbors_off =
+      40 + (g.num_vertices() + 1) * 8;  // offsets array then neighbors
+  const auto nbrs = g.neighbors(0);
+
+  const auto load = [](const std::string& corrupt) {
+    std::stringstream in(std::ios::in | std::ios::out | std::ios::binary);
+    in << corrupt;
+    (void)read_binary(in);
+  };
+  {
+    std::string corrupt = bytes;
+    const VertexId swapped[2] = {nbrs[1], nbrs[0]};
+    corrupt.replace(neighbors_off, 8,
+                    reinterpret_cast<const char*>(swapped), 8);
+    const std::string msg = io_error_message([&] { load(corrupt); });
+    EXPECT_NE(msg.find("unsorted adjacency"), std::string::npos) << msg;
+  }
+  {
+    std::string corrupt = bytes;
+    const VertexId duplicate[2] = {nbrs[0], nbrs[0]};
+    corrupt.replace(neighbors_off, 8,
+                    reinterpret_cast<const char*>(duplicate), 8);
+    const std::string msg = io_error_message([&] { load(corrupt); });
+    EXPECT_NE(msg.find("unsorted adjacency"), std::string::npos) << msg;
+  }
+  load(bytes);  // the uncorrupted snapshot still loads
+}
+
 TEST(BinaryErrors, UnsupportedVersionThrows) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   const std::uint64_t magic = 0x46524f4e54474230ULL;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -9,6 +10,8 @@
 #include "graph/generators.hpp"
 #include "sampling/frontier_sampler.hpp"
 #include "sampling/single_rw.hpp"
+#include "stream/block.hpp"
+#include "stream/sinks.hpp"
 
 namespace frontier {
 namespace {
@@ -72,6 +75,50 @@ TEST(DegreeMomentEstimator, ZerothMomentIsOne) {
   const Graph g = cycle_graph(5);
   EXPECT_DOUBLE_EQ(estimate_degree_moment(g, full_edge_pass(g), 0), 1.0);
   EXPECT_DOUBLE_EQ(estimate_degree_moment(g, {}, 0), 0.0);
+}
+
+TEST(DegreePower, BitEqualToStdPow) {
+  // Below 2^53 the running product is exact; at and past it the helper
+  // hands over to std::pow. Either way the bits must be pow's.
+  for (const double deg : {0.0, 1.0, 2.0, 3.0, 7.0, 1000.0, 2000.0,
+                           94906265.0, 94906267.0, 67108863.0}) {
+    for (unsigned e = 0; e <= 8; ++e) {
+      EXPECT_EQ(degree_power(deg, e), std::pow(deg, static_cast<double>(e)))
+          << deg << "^" << e;
+    }
+  }
+}
+
+TEST(DegreeMomentEstimator, StarPastTwoToThe53IsBitEqualToPowFold) {
+  // The hub of a 2000-leaf star has 2000^5 > 2^53, so moment 6 crosses
+  // into degree_power's std::pow fallback; moments 1..5 stay exact.
+  const Graph g = star_graph(2001);
+  const auto edges = full_edge_pass(g);
+  constexpr unsigned kMaxMoment = 6;
+  GraphMomentsSink sink(g, kMaxMoment);
+  StreamEventBlock block(64);
+  for (const Edge& e : edges) {
+    if (block.room() == 0) {
+      sink.ingest_block(block);
+      block.clear();
+    }
+    block.push_edge(e.u, e.v, g.degree(e.v));
+  }
+  sink.ingest_block(block);
+  for (unsigned k = 1; k <= kMaxMoment; ++k) {
+    // Reference: the same fold with std::pow for every power.
+    double numerator = 0.0;
+    double s = 0.0;
+    for (const Edge& e : edges) {
+      const double deg = static_cast<double>(g.degree(e.v));
+      numerator += std::pow(deg, static_cast<double>(k) - 1.0);
+      s += 1.0 / deg;
+    }
+    const double reference = numerator / s;
+    EXPECT_EQ(sink.degree_moment(k), reference) << "moment " << k;
+    EXPECT_EQ(estimate_degree_moment(g, edges, k), reference)
+        << "moment " << k;
+  }
 }
 
 TEST(VolumeEstimator, ExactOnFullPassGivenTrueN) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <numeric>
+#include <vector>
 
+#include "analysis/motifs.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/intersect.hpp"
 
 namespace frontier {
 namespace {
@@ -76,6 +81,111 @@ TEST(SharedNeighbors, TriangleAndSquare) {
   const Graph sq = cycle_graph(4);
   EXPECT_EQ(shared_neighbors(sq, 0, 1), 0u);
   EXPECT_EQ(shared_neighbors(sq, 0, 2), 2u);  // diagonal
+}
+
+// A graph whose vertex 0 has adjacency `a` and vertex 1 adjacency `b`
+// (ids >= 2, strictly increasing), so shared_neighbors(g, 0, 1) is
+// |a ∩ b| on exactly these lists.
+Graph two_lists(const std::vector<VertexId>& a,
+                const std::vector<VertexId>& b) {
+  VertexId top = 1;
+  for (const VertexId x : a) top = std::max(top, x);
+  for (const VertexId x : b) top = std::max(top, x);
+  GraphBuilder builder(top + 1);
+  for (const VertexId x : a) builder.add_undirected_edge(0, x);
+  for (const VertexId x : b) builder.add_undirected_edge(1, x);
+  return builder.build();
+}
+
+// shared_neighbors and common_neighbors agree with std::set_intersection
+// on the adjacency of u and v, in both argument orders.
+void expect_matches_set_intersection(const Graph& g, VertexId u, VertexId v) {
+  const auto a = g.neighbors(u);
+  const auto b = g.neighbors(v);
+  std::vector<VertexId> want;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(want));
+  EXPECT_EQ(shared_neighbors(g, u, v), want.size()) << u << "," << v;
+  EXPECT_EQ(shared_neighbors(g, v, u), want.size()) << v << "," << u;
+  std::vector<VertexId> got;
+  common_neighbors(g, u, v, got);
+  EXPECT_EQ(got, want) << u << "," << v;
+  common_neighbors(g, v, u, got);
+  EXPECT_EQ(got, want) << v << "," << u;
+}
+
+void expect_lists_intersect(const std::vector<VertexId>& a,
+                            const std::vector<VertexId>& b) {
+  expect_matches_set_intersection(two_lists(a, b), 0, 1);
+}
+
+std::vector<VertexId> iota_list(VertexId first, std::size_t n,
+                                VertexId stride = 1) {
+  std::vector<VertexId> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = first + static_cast<VertexId>(i) * stride;
+  }
+  return out;
+}
+
+TEST(SharedNeighbors, EmptyDisjointAndIdenticalLists) {
+  expect_lists_intersect({}, {});
+  expect_lists_intersect({}, {2, 3, 4});
+  expect_lists_intersect({2, 4, 6, 8}, {3, 5, 7, 9});
+  expect_lists_intersect(iota_list(2, 40), iota_list(2, 40));
+}
+
+TEST(SharedNeighbors, MatchesAtFirstAndLastElement) {
+  expect_lists_intersect({2, 10, 20, 30}, {2, 5, 7, 30});
+  // Skewed: the short list hits the long list's first and last entries.
+  expect_lists_intersect({2, 201}, iota_list(2, 200));
+  expect_lists_intersect({2}, iota_list(2, 100));
+  expect_lists_intersect({101}, iota_list(2, 100));
+}
+
+TEST(SharedNeighbors, ShortListWhollyPastTheLongListsEnd) {
+  expect_lists_intersect(iota_list(500, 3), iota_list(2, 100));
+  expect_lists_intersect(iota_list(500, 10), iota_list(2, 100));
+  expect_lists_intersect({102}, iota_list(2, 100));
+}
+
+TEST(SharedNeighbors, LengthRatiosAroundTheGallopSwitch) {
+  // A short list of 4 against long lists of kGallopRatio - 1, kGallopRatio
+  // and kGallopRatio + 1 times its length (15x, 16x, 17x): the kernel
+  // merges up to the ratio and gallops past it; both paths must give the
+  // same count, with matches at both ends and in between.
+  constexpr std::size_t kShort = 4;
+  for (const std::size_t ratio :
+       {kGallopRatio - 1, kGallopRatio, kGallopRatio + 1}) {
+    const auto longer = iota_list(2, kShort * ratio, 3);
+    const VertexId last = longer.back();
+    expect_lists_intersect({2, 7, 3 * 10 + 2, last}, longer);
+    expect_lists_intersect({3, 4, last - 1, last + 1}, longer);
+    expect_lists_intersect({2, 5, 8, 11}, longer);
+  }
+}
+
+TEST(SharedNeighbors, MatchesSetIntersectionOnBarabasiAlbertPairs) {
+  Rng rng(2024);
+  const Graph g = barabasi_albert(3000, 4, rng);
+  const auto n = static_cast<std::uint64_t>(g.num_vertices());
+  for (int t = 0; t < 3000; ++t) {
+    // Half the pairs are edges (the streamed case), half arbitrary.
+    const auto u = static_cast<VertexId>(uniform_index(rng, n));
+    const auto nbrs = g.neighbors(u);
+    const VertexId v = t % 2 == 0
+                           ? nbrs[uniform_index(rng, nbrs.size())]
+                           : static_cast<VertexId>(uniform_index(rng, n));
+    expect_matches_set_intersection(g, u, v);
+  }
+  // Every hub-leaf pair of the highest-degree vertex exercises the gallop.
+  VertexId hub = 0;
+  for (VertexId v = 1; v < g.num_vertices(); ++v) {
+    if (g.degree(v) > g.degree(hub)) hub = v;
+  }
+  for (const VertexId v : g.neighbors(hub)) {
+    expect_matches_set_intersection(g, hub, v);
+  }
 }
 
 TEST(TrianglesPerVertex, CompleteGraph) {
