@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "stream/sinks.hpp"
+
 namespace frontier {
 
 void AssortativityAccumulator::add(double x, double y) noexcept {
@@ -24,13 +26,9 @@ double AssortativityAccumulator::value() const noexcept {
 }
 
 double estimate_assortativity(const Graph& g, std::span<const Edge> edges) {
-  AssortativityAccumulator acc;
-  for (const Edge& e : edges) {
-    if (!g.has_directed_edge(e.u, e.v)) continue;  // unlabeled: skip
-    acc.add(static_cast<double>(g.out_degree(e.u)),
-            static_cast<double>(g.in_degree(e.v)));
-  }
-  return acc.value();
+  AssortativitySink sink(g);
+  ingest_sample(sink, g, edges);
+  return sink.value();
 }
 
 }  // namespace frontier

@@ -1,34 +1,14 @@
 #include "estimators/clustering.hpp"
 
-#include "graph/metrics.hpp"
+#include "stream/motif_sinks.hpp"
 
 namespace frontier {
 
 double estimate_global_clustering(const Graph& g,
                                   std::span<const Edge> edges) {
-  // Derivation (Corollary 4.2, with the normalization carried through
-  // explicitly): for a uniform edge sample (v, u),
-  //   E[ f(v,u) / (2 C(deg(v),2)) ] = (1/|E|) Σ_v Σ_{u∈N(v)} f(v,u)/(2 C)
-  //                                 = (1/|E|) Σ_v ∆(v)/C(deg(v),2)
-  //                                 = (1/|E|) Σ_v c(v),
-  // because Σ_{u∈N(v)} f(v,u) = 2∆(v) (each triangle at v is seen by both
-  // of its edges at v). Dividing by S = (1/B) Σ 1/deg(v_i) restricted to
-  // deg(v_i) >= 2, which converges to |V*|/|E| by Theorem 4.1, yields C.
-  // (The paper's displayed Ĉ carries an extra 1/deg(v_i) and no 1/2; as
-  // written it converges to (2/|V*|) Σ c(v)/deg(v), not to C — we use the
-  // corrected weights, which agree exactly on a full pass over E. See
-  // EXPERIMENTS.md, "deviations".)
-  double s = 0.0;
-  double num = 0.0;
-  for (const Edge& e : edges) {
-    const double deg = static_cast<double>(g.degree(e.u));
-    if (deg < 2.0) continue;
-    s += 1.0 / deg;
-    const double f = static_cast<double>(shared_neighbors(g, e.u, e.v));
-    const double pairs = deg * (deg - 1.0) / 2.0;
-    num += f / (2.0 * pairs);
-  }
-  return s == 0.0 ? 0.0 : num / s;
+  ClusteringSink sink(g);
+  ingest_sample(sink, g, edges);
+  return sink.global_clustering();
 }
 
 }  // namespace frontier

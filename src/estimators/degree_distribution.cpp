@@ -1,23 +1,15 @@
 #include "estimators/degree_distribution.hpp"
 
+#include "stream/sinks.hpp"
+
 namespace frontier {
 
 std::vector<double> estimate_degree_distribution(const Graph& g,
                                                  std::span<const Edge> edges,
                                                  DegreeKind kind) {
-  std::vector<double> weighted;  // Σ 1/deg(v_i) per degree bucket
-  double s = 0.0;
-  for (const Edge& e : edges) {
-    const double inv_deg = 1.0 / static_cast<double>(g.degree(e.v));
-    s += inv_deg;
-    const std::uint32_t d = degree_of(g, e.v, kind);
-    if (d >= weighted.size()) weighted.resize(d + 1, 0.0);
-    weighted[d] += inv_deg;
-  }
-  if (s > 0.0) {
-    for (double& w : weighted) w /= s;
-  }
-  return weighted;
+  DegreeDistributionSink sink(g, kind);
+  ingest_sample(sink, g, edges);
+  return sink.distribution();
 }
 
 std::vector<double> estimate_degree_distribution_uniform(

@@ -1,34 +1,24 @@
 #include "estimators/density.hpp"
 
+#include "stream/sinks.hpp"
+
 namespace frontier {
 
 double estimate_edge_label_density(
-    std::span<const Edge> edges,
+    const Graph& g, std::span<const Edge> edges,
     const std::function<bool(const Edge&)>& labeled,
     const std::function<bool(const Edge&)>& has_label) {
-  std::uint64_t b_star = 0;
-  std::uint64_t hits = 0;
-  for (const Edge& e : edges) {
-    if (!labeled(e)) continue;
-    ++b_star;
-    if (has_label(e)) ++hits;
-  }
-  return b_star == 0 ? 0.0
-                     : static_cast<double>(hits) / static_cast<double>(b_star);
+  EdgeDensitySink sink(labeled, has_label);
+  ingest_sample(sink, g, edges);
+  return sink.value();
 }
 
 double estimate_vertex_label_density(
     const Graph& g, std::span<const Edge> edges,
     const std::function<bool(VertexId)>& pred) {
-  if (edges.empty()) return 0.0;
-  double s = 0.0;
-  double weighted_hits = 0.0;
-  for (const Edge& e : edges) {
-    const double inv_deg = 1.0 / static_cast<double>(g.degree(e.v));
-    s += inv_deg;
-    if (pred(e.v)) weighted_hits += inv_deg;
-  }
-  return s == 0.0 ? 0.0 : weighted_hits / s;
+  VertexDensitySink sink(g, pred);
+  ingest_sample(sink, g, edges);
+  return sink.value();
 }
 
 double estimate_vertex_label_density_uniform(

@@ -21,7 +21,7 @@ namespace frontier {
 /// decides whether the label of interest is present. Returns 0 when no
 /// sampled edge is labeled.
 [[nodiscard]] double estimate_edge_label_density(
-    std::span<const Edge> edges,
+    const Graph& g, std::span<const Edge> edges,
     const std::function<bool(const Edge&)>& labeled,
     const std::function<bool(const Edge&)>& has_label);
 

@@ -27,8 +27,8 @@ namespace frontier {
 /// deg^e for an integer-valued deg >= 0, bit-equal to
 /// std::pow(deg, double(e)). While the running product stays below 2^53
 /// every step is an exact integer, and so is pow's result; past that it
-/// falls back to std::pow. The one power behind both the batch
-/// estimate_degree_moment and the streaming GraphMomentsSink fold.
+/// falls back to std::pow. The power behind GraphMomentsSink's fold (and
+/// so behind estimate_degree_moment).
 [[nodiscard]] inline double degree_power(double deg, unsigned e) noexcept {
   double p = 1.0;
   for (unsigned i = 0; i < e; ++i) {

@@ -83,7 +83,17 @@ void ClusteringSink::ingest_block(const StreamEventBlock& block) {
     ++n_;
     const std::uint32_t d = g.degree(u[i]);
     if (d < 2) continue;
-    // Same arithmetic, same order as estimate_global_clustering.
+    // Ĉ (Corollary 4.2, with the normalization carried through
+    // explicitly): for a uniform edge sample (u, v),
+    //   E[ f(u,v) / (2 C(deg(u),2)) ] = (1/|E|) Σ_u Σ_{v∈N(u)} f(u,v)/(2 C)
+    //                                 = (1/|E|) Σ_u ∆(u)/C(deg(u),2)
+    //                                 = (1/|E|) Σ_u c(u),
+    // because Σ_{v∈N(u)} f(u,v) = 2∆(u) (each triangle at u is seen by both
+    // of its edges at u). Dividing by S = (1/B) Σ 1/deg(u_i) restricted to
+    // deg(u_i) >= 2, which converges to |V*|/|E| by Theorem 4.1, yields C.
+    // (The paper's displayed Ĉ carries an extra 1/deg(u_i) and no 1/2; as
+    // written it converges to (2/|V*|) Σ c(u)/deg(u), not to C — we use the
+    // corrected weights, which agree exactly on a full pass over E.)
     const double deg = static_cast<double>(d);
     s_ += 1.0 / deg;
     const std::uint32_t f = codegree[i];
@@ -133,6 +143,11 @@ void ClusteringSink::load_state(std::istream& is) {
   n_ = read_pod<std::uint64_t>(is);
   count_ = read_vector<std::uint64_t>(is);
   fsum_ = read_vector<std::uint64_t>(is);
+  // ingest_block grows both columns together; unequal lengths would make
+  // it index past the shorter one.
+  if (count_.size() != fsum_.size()) {
+    throw IoError("stream checkpoint: corrupt clustering state");
+  }
 }
 
 // --------------------------------------------------------------- MotifSink

@@ -57,12 +57,12 @@ class TriangleSink final : public EstimatorSink {
   std::uint64_t n_ = 0;
 };
 
-/// Streaming local + global clustering. The global part mirrors
-/// estimate_global_clustering (estimators/clustering.hpp) bit for bit:
-/// same per-edge arithmetic in the same order, gated on deg(u) >= 2. The
-/// local part buckets integer codegree sums by deg(u), giving the mean
-/// local clustering c̄(k) per degree class — on a full slot enumeration
-/// bit-identical to exact_local_clustering_by_degree.
+/// Streaming local + global clustering. The global part is Corollary
+/// 4.2's Ĉ (estimators/clustering.hpp; estimate_global_clustering folds
+/// through this sink), gated on deg(u) >= 2. The local part buckets
+/// integer codegree sums by deg(u), giving the mean local clustering c̄(k)
+/// per degree class — on a full slot enumeration bit-identical to
+/// exact_local_clustering_by_degree.
 class ClusteringSink final : public EstimatorSink {
  public:
   explicit ClusteringSink(const Graph& g);
@@ -72,7 +72,7 @@ class ClusteringSink final : public EstimatorSink {
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
-  /// Ĉ — identical to estimate_global_clustering over the same edges.
+  /// Ĉ (what estimate_global_clustering returns).
   [[nodiscard]] double global_clustering() const noexcept;
   /// c̄(k) per degree class k >= 2; 0 where no sample landed.
   [[nodiscard]] std::vector<double> local_clustering() const;

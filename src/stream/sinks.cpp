@@ -1,5 +1,6 @@
 #include "stream/sinks.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "estimators/graph_moments.hpp"
@@ -17,7 +18,35 @@ using streamio::write_vector;
 constexpr std::uint8_t kHasEdge = StreamEventBlock::kHasEdge;
 constexpr std::uint8_t kHasVertex = StreamEventBlock::kHasVertex;
 
+// Writes `count` rows, row i by push(block, i), into blocks of up to
+// default_block_capacity() rows and ingests each as it fills.
+template <typename Push>
+void ingest_rows(EstimatorSink& sink, std::size_t count, Push push) {
+  if (count == 0) return;
+  StreamEventBlock block(std::min(count, default_block_capacity()));
+  for (std::size_t i = 0; i < count;) {
+    block.clear();
+    const std::size_t end = std::min(count, i + block.capacity());
+    for (; i < end; ++i) push(block, i);
+    sink.ingest_block(block);
+  }
+}
+
 }  // namespace
+
+void ingest_sample(EstimatorSink& sink, const Graph& g,
+                   std::span<const Edge> edges) {
+  ingest_rows(sink, edges.size(), [&](StreamEventBlock& block, std::size_t i) {
+    block.push_edge(edges[i].u, edges[i].v, g.degree(edges[i].v));
+  });
+}
+
+void ingest_sample(EstimatorSink& sink, std::span<const VertexId> vertices) {
+  ingest_rows(sink, vertices.size(),
+              [&](StreamEventBlock& block, std::size_t i) {
+                block.push_vertex(vertices[i]);
+              });
+}
 
 // ------------------------------------------------- DegreeDistributionSink
 
@@ -29,30 +58,19 @@ void DegreeDistributionSink::ingest_block(const StreamEventBlock& block) {
   const std::uint8_t* flags = block.flags().data();
   const std::uint32_t* deg = block.deg_v().data();
   const VertexId* v = block.v().data();
+  const bool symmetric = kind_ == DegreeKind::kSymmetric;
   double s = s_;
   std::uint64_t n = n_;
-  if (kind_ == DegreeKind::kSymmetric) {
-    // The bucket degree equals the weight degree: both come straight from
-    // the block's degree column, no graph lookups at all.
-    for (std::size_t i = 0; i < sz; ++i) {
-      if (!(flags[i] & kHasEdge)) continue;
-      const std::uint32_t d = deg[i];
-      const double inv_deg = 1.0 / static_cast<double>(d);
-      s += inv_deg;
-      if (d >= weighted_.size()) weighted_.resize(d + 1, 0.0);
-      weighted_[d] += inv_deg;
-      ++n;
-    }
-  } else {
-    for (std::size_t i = 0; i < sz; ++i) {
-      if (!(flags[i] & kHasEdge)) continue;
-      const double inv_deg = 1.0 / static_cast<double>(deg[i]);
-      s += inv_deg;
-      const std::uint32_t d = degree_of(*graph_, v[i], kind_);
-      if (d >= weighted_.size()) weighted_.resize(d + 1, 0.0);
-      weighted_[d] += inv_deg;
-      ++n;
-    }
+  for (std::size_t i = 0; i < sz; ++i) {
+    if (!(flags[i] & kHasEdge)) continue;
+    const double inv_deg = 1.0 / static_cast<double>(deg[i]);
+    s += inv_deg;
+    // A symmetric bucket is the weight degree itself: no graph lookup.
+    const std::uint32_t d =
+        symmetric ? deg[i] : degree_of(*graph_, v[i], kind_);
+    if (d >= weighted_.size()) weighted_.resize(d + 1, 0.0);
+    weighted_[d] += inv_deg;
+    ++n;
   }
   s_ = s;
   n_ = n;
@@ -249,6 +267,9 @@ double GraphMomentsSink::degree_moment(unsigned k) const {
     throw std::out_of_range("GraphMomentsSink: moment not tracked");
   }
   if (n_ == 0) return 0.0;
+  // Stationary samples are degree-biased: E_sample[deg^(k-1)] =
+  // Σ_v deg^k / vol, and S = E_sample[deg^-1] -> |V|/vol, so the ratio is
+  // the k-th raw moment (1/|V|) Σ_v deg^k.
   return s_ == 0.0 ? 0.0 : pow_sums_[k - 1] / s_;
 }
 

@@ -1,20 +1,20 @@
 // Online estimator sinks: fold StreamEventBlocks incrementally so a crawl
 // at any budget B uses O(max_degree + buckets) memory instead of O(B).
 //
-// Each sink is the streaming twin of one batch estimator in estimators/
-// and accumulates in the same order with the same arithmetic, so given the
-// same edge sequence the sink's output is bit-identical to the batch
-// function's, for every block capacity (tests/test_stream_sinks.cpp
-// asserts this). ingest_block is each estimand's only fold: StreamEngine
-// and the checkpoint path both go through it. Sinks serialize their
-// numeric state for checkpoint/resume; closures (label predicates) are
-// not stored — the caller re-binds them when reconstructing the sink.
+// Each sink's ingest_block is its estimand's only fold: StreamEngine feeds
+// it a cursor's blocks, and the batch estimators in estimators/ are
+// adapters that fold a materialized sample through ingest_sample() below.
+// The state depends only on the row sequence, so both paths agree bit for
+// bit at every block capacity (tests/test_stream_sinks.cpp). Sinks
+// serialize their numeric state for checkpoint/resume; closures (label
+// predicates) are not stored — the caller re-binds them on reconstruction.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,8 +48,8 @@ class EstimatorSink {
   virtual void load_state(std::istream& is) = 0;
 };
 
-/// Streaming eq.-7 degree distribution (and CCDF): the histogram of
-/// 1/deg(v_i) weights of estimate_degree_distribution, folded per edge.
+/// Streaming eq.-7 degree distribution (and CCDF): a histogram of
+/// 1/deg(v_i) weights keyed by the `kind`-degree of v_i, folded per edge.
 class DegreeDistributionSink final : public EstimatorSink {
  public:
   DegreeDistributionSink(const Graph& g, DegreeKind kind);
@@ -59,9 +59,9 @@ class DegreeDistributionSink final : public EstimatorSink {
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
-  /// θ̂ — identical to estimate_degree_distribution over the same edges.
+  /// θ̂ (what estimate_degree_distribution returns).
   [[nodiscard]] std::vector<double> distribution() const;
-  /// γ̂ — identical to estimate_degree_ccdf over the same edges.
+  /// γ̂, the CCDF of θ̂ (what estimate_degree_ccdf returns).
   [[nodiscard]] std::vector<double> ccdf() const;
   [[nodiscard]] std::uint64_t edges_consumed() const noexcept { return n_; }
 
@@ -85,7 +85,7 @@ class VertexDensitySink final : public EstimatorSink {
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
-  /// θ̂_l — identical to estimate_vertex_label_density over the same edges.
+  /// θ̂_l (what estimate_vertex_label_density returns).
   [[nodiscard]] double value() const noexcept;
 
  private:
@@ -106,7 +106,7 @@ class EdgeDensitySink final : public EstimatorSink {
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
-  /// p̂_l — identical to estimate_edge_label_density over the same edges.
+  /// p̂_l (what estimate_edge_label_density returns).
   [[nodiscard]] double value() const noexcept;
 
  private:
@@ -127,7 +127,7 @@ class AssortativitySink final : public EstimatorSink {
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
-  /// r̂ — identical to estimate_assortativity over the same edges.
+  /// r̂ (what estimate_assortativity returns).
   [[nodiscard]] double value() const noexcept { return acc_.value(); }
   [[nodiscard]] std::uint64_t labeled_count() const noexcept {
     return acc_.count();
@@ -153,11 +153,11 @@ class GraphMomentsSink final : public EstimatorSink {
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
-  /// d̄ — identical to estimate_average_degree over the same edges.
+  /// d̄ = 1/S (what estimate_average_degree returns).
   [[nodiscard]] double average_degree() const noexcept;
-  /// E[deg^k] — identical to estimate_degree_moment for k <= max_moment.
+  /// E[deg^k] for k <= max_moment (what estimate_degree_moment returns).
   [[nodiscard]] double degree_moment(unsigned k) const;
-  /// vol ≈ |V| / S — identical to estimate_volume.
+  /// vol ≈ |V| / S (what estimate_volume returns).
   [[nodiscard]] double volume(double num_vertices) const;
   [[nodiscard]] std::uint64_t edges_consumed() const noexcept { return n_; }
   /// Welford statistics of the observed (degree-biased) target degrees.
@@ -183,7 +183,7 @@ class UniformDegreeSink final : public EstimatorSink {
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
-  /// Identical to estimate_average_degree_uniform over the same vertices.
+  /// Mean degree (what estimate_average_degree_uniform returns).
   [[nodiscard]] double value() const noexcept;
   [[nodiscard]] std::uint64_t vertices_consumed() const noexcept { return n_; }
 
@@ -195,5 +195,14 @@ class UniformDegreeSink final : public EstimatorSink {
 
 /// Owning collection of sinks, in checkpoint order.
 using SinkSet = std::vector<std::unique_ptr<EstimatorSink>>;
+
+/// Folds a materialized edge sample through `sink`, in order: cuts it into
+/// blocks of min(|edges|, default_block_capacity()) rows, each row an
+/// edge carrying deg(v) in `g` as the ingest_block contract requires.
+void ingest_sample(EstimatorSink& sink, const Graph& g,
+                   std::span<const Edge> edges);
+
+/// Same for a uniform vertex sample: one vertex row per element.
+void ingest_sample(EstimatorSink& sink, std::span<const VertexId> vertices);
 
 }  // namespace frontier

@@ -76,18 +76,20 @@ TEST(VertexLabelDensityUniform, PlainEmpiricalFraction) {
 
 TEST(EdgeLabelDensity, CountsOverLabeledSubsequence) {
   // Labeled = edges out of even vertices; label present = target is odd.
+  const Graph g = cycle_graph(4);
   std::vector<Edge> edges{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {2, 1}};
   const double est = estimate_edge_label_density(
-      edges, [](const Edge& e) { return e.u % 2 == 0; },
+      g, edges, [](const Edge& e) { return e.u % 2 == 0; },
       [](const Edge& e) { return e.v % 2 == 1; });
   // Labeled: (0,1), (2,3), (2,1) -> labels present: (0,1), (2,3), (2,1).
   EXPECT_DOUBLE_EQ(est, 1.0);
 }
 
 TEST(EdgeLabelDensity, NoLabeledEdgesGivesZero) {
+  const Graph g = cycle_graph(4);
   std::vector<Edge> edges{{1, 1}, {3, 3}};
   const double est = estimate_edge_label_density(
-      edges, [](const Edge&) { return false; },
+      g, edges, [](const Edge&) { return false; },
       [](const Edge&) { return true; });
   EXPECT_DOUBLE_EQ(est, 0.0);
 }
@@ -106,7 +108,7 @@ TEST(EdgeLabelDensity, ExactOnFullDirectedPass) {
     if (e.v % 2 == 0) hits += 1.0;
   }
   const double est = estimate_edge_label_density(
-      edges,
+      g, edges,
       [&g](const Edge& e) { return g.has_directed_edge(e.u, e.v); },
       [](const Edge& e) { return e.v % 2 == 0; });
   EXPECT_NEAR(est, hits / labeled, 1e-12);

@@ -17,11 +17,13 @@
 #include <vector>
 
 #include "analysis/motifs.hpp"
+#include "core/io_error.hpp"
 #include "estimators/clustering.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
 #include "random/rng.hpp"
 #include "stream/block.hpp"
+#include "stream/serialize.hpp"
 
 namespace frontier {
 namespace {
@@ -203,6 +205,21 @@ TEST(MotifSinks, StateRoundtripRestoresAccumulators) {
   EXPECT_EQ(sink2.estimate(vol).triangle, sink.estimate(vol).triangle);
   EXPECT_EQ(tri2.transitivity(), tri.transitivity());
   EXPECT_EQ(clus2.global_clustering(), clus.global_clustering());
+}
+
+// ingest_block grows the per-degree count and Σf columns together, so a
+// checkpoint whose two columns differ in length (a valid CRC proves
+// nothing about that) is corrupt and must not load.
+TEST(MotifSinks, ClusteringLoadRejectsMismatchedColumns) {
+  const Graph g = complete_graph(4);
+  ClusteringSink clus(g);
+  std::stringstream ss;
+  streamio::write_pod<double>(ss, 0.5);
+  streamio::write_pod<double>(ss, 0.25);
+  streamio::write_pod<std::uint64_t>(ss, 3);
+  streamio::write_vector(ss, std::vector<std::uint64_t>(8, 1));
+  streamio::write_vector(ss, std::vector<std::uint64_t>(2, 1));
+  EXPECT_THROW(clus.load_state(ss), IoError);
 }
 
 TEST(MotifSinks, EmptySinksReportZero) {

@@ -1,6 +1,9 @@
 // Online sinks vs batch estimators: fed the same edge/vertex sequence in
 // StreamEventBlocks of any capacity, every sink must produce bit-identical
-// output to its batch counterpart.
+// output to its batch counterpart. The batch estimators fold through
+// ingest_sample, so this pins its row construction (every row, in order,
+// deg(v) in the degree column) and its block cutting; ctest also runs this
+// file at FS_BLOCK=1, where ingest_sample cuts one-row blocks.
 #include "stream/sinks.hpp"
 
 #include <gtest/gtest.h>
@@ -122,7 +125,7 @@ TEST(StreamSinks, EdgeDensityMatchesBatch) {
   const auto labeled = [](const Edge& e) { return e.u % 2 == 0; };
   const auto has_label = [](const Edge& e) { return e.v % 3 == 0; };
   const double batch =
-      estimate_edge_label_density(rec.edges, labeled, has_label);
+      estimate_edge_label_density(g, rec.edges, labeled, has_label);
   for (const std::size_t k : kBlockSizes) {
     EdgeDensitySink sink(labeled, has_label);
     feed_edges(sink, g, rec, k);

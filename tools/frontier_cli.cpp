@@ -3,10 +3,11 @@
 //   frontier_cli summarize <edges.txt>
 //       Exact characteristics: Table-1 columns, components, clustering,
 //       assortativity.
-//   frontier_cli sample <edges.txt> [--method fs|srw|mrw|mh] [--budget N]
-//                [--dimension M] [--seed S]
-//       Crawl the graph with the chosen sampler and print estimated
-//       characteristics next to the exact values.
+//   frontier_cli sample <edges.txt> [--method fs|srw|mrw|mh|rwj]
+//                [--budget N] [--dimension M] [--seed S]
+//       Crawl the graph with the chosen sampler (the CrawlSpec cursor that
+//       `stream` runs, drained into a materialized sample) and print
+//       estimated characteristics next to the exact values.
 //   frontier_cli generate --model ba|er|ws|gab [--n N] [--param P]
 //                [--seed S] --out <edges.txt>
 //       Write a synthetic graph as an edge list.
@@ -158,34 +159,9 @@ int cmd_sample(const ParsedArgs& args) {
   const Graph g =
       cli::load_graph(args.positional()[0], args.get_flag("mmap"));
   const CrawlSpec spec = crawl_spec(args, g);
-  const double budget = spec.budget;
-  const std::size_t m = spec.dimension;
-  Rng rng(spec.seed);
+  const SampleRecord rec = drain_cursor(*spec.make_cursor(g));
 
-  SampleRecord rec;
-  if (spec.method == "fs") {
-    const FrontierSampler fs(
-        g, {.dimension = m, .steps = frontier_steps(budget, m, 1.0)});
-    rec = fs.run(rng);
-  } else if (spec.method == "srw") {
-    const SingleRandomWalk srw(g, {.steps = spec.walk_steps()});
-    rec = srw.run(rng);
-  } else if (spec.method == "mrw") {
-    const MultipleRandomWalks mrw(
-        g, {.num_walkers = m,
-            .steps_per_walker = multiple_rw_steps_per_walker(budget, m, 1.0)});
-    rec = mrw.run(rng);
-  } else if (spec.method == "mh") {
-    const MetropolisHastingsWalk mh(g, {.steps = spec.walk_steps()});
-    rec = mh.run(rng);
-  } else {
-    // "rwj" passes CrawlSpec::validate() but has no offline SampleRecord
-    // runner — it exists only as a streaming cursor.
-    std::cerr << "unknown method: " << spec.method << "\n";
-    return 2;
-  }
-
-  std::cout << "method=" << spec.method << " budget=" << budget
+  std::cout << "method=" << spec.method << " budget=" << spec.budget
             << " sampled_edges=" << rec.edges.size() << "\n\n";
   TextTable table({"characteristic", "estimate", "exact"});
   if (spec.method == "mh") {
@@ -534,7 +510,7 @@ std::vector<Subcommand> subcommands() {
         .command = "sample",
         .summary = "crawl and print estimate-vs-exact characteristics",
         .positionals = {{.name = "edges.txt"}},
-        .options = {opt_method("fs|srw|mrw|mh"), opt_budget(),
+        .options = {opt_method("fs|srw|mrw|mh|rwj"), opt_budget(),
                     opt_dimension(), opt_seed(), opt_mmap()}},
        &cmd_sample});
   cmds.push_back(
