@@ -1,10 +1,11 @@
 // Shared harness for the paper-reproduction benchmarks.
 //
 // Every bench binary regenerates one table or figure of Ribeiro & Towsley
-// (IMC 2010) on the synthetic surrogate datasets (DESIGN.md §3). Absolute
-// error values differ from the paper (different graphs, scaled-down sizes
-// and run counts); the *shape* — method ordering, crossovers, error decay —
-// is the reproduction target and is what EXPERIMENTS.md records.
+// (IMC 2010) on the synthetic surrogate datasets (docs/BENCHMARKS.md,
+// "Surrogates and deviations"). Absolute error values differ from the
+// paper (different graphs, scaled-down sizes and run counts); the *shape*
+// — method ordering, crossovers, error decay — is the reproduction target,
+// and docs/BENCHMARKS.md records what each binary should show.
 //
 // Environment knobs: FS_RUNS, FS_SCALE, FS_THREADS, FS_SEED (see
 // experiments/config.hpp; malformed values are a fatal error, exit 2).

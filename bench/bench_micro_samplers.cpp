@@ -1,6 +1,6 @@
-// Microbenchmarks (google-benchmark): sampler step throughput and the
-// FS walker-selection ablation (Fenwick weighted tree vs linear scan)
-// called out in DESIGN.md §5.
+// Microbenchmarks (google-benchmark): sampler step throughput, FS across
+// frontier sizes m, and distributed FS (Section 5.3). How to run the
+// benches and read their reports: docs/BENCHMARKS.md.
 #include <benchmark/benchmark.h>
 
 #include <bit>
@@ -70,9 +70,7 @@ void BM_FrontierTree(benchmark::State& state) {
   const Graph& g = bench_graph();
   const auto m = static_cast<std::size_t>(state.range(0));
   const std::uint64_t steps = 10000;
-  const FrontierSampler fs(
-      g, {.dimension = m, .steps = steps,
-          .selection = FrontierSampler::Selection::kWeightedTree});
+  const FrontierSampler fs(g, {.dimension = m, .steps = steps});
   Rng rng(3);
   SampleArena arena;
   for (auto _ : state) {
@@ -83,37 +81,23 @@ void BM_FrontierTree(benchmark::State& state) {
 }
 BENCHMARK(BM_FrontierTree)->Arg(4)->Arg(64)->Arg(1024)->Arg(16384);
 
-void BM_FrontierLinearScan(benchmark::State& state) {
+void BM_ParallelFs(benchmark::State& state) {
   const Graph& g = bench_graph();
   const auto m = static_cast<std::size_t>(state.range(0));
-  const std::uint64_t steps = 10000;
-  const FrontierSampler fs(
-      g, {.dimension = m, .steps = steps,
-          .selection = FrontierSampler::Selection::kLinearScan});
-  Rng rng(4);
-  SampleArena arena;
+  const ParallelFrontierSampler pfs(
+      g, {.dimension = m,
+          .time_horizon = time_horizon_for_jumps(g, m, 10000.0),
+          .threads = 1});
+  std::uint64_t seed = 5;
+  std::int64_t edges = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fs.run_into(arena, rng));
+    const SampleRecord rec = pfs.run(seed++);
+    edges += static_cast<std::int64_t>(rec.edges.size());
+    benchmark::DoNotOptimize(rec);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(steps));
+  state.SetItemsProcessed(edges);
 }
-BENCHMARK(BM_FrontierLinearScan)->Arg(4)->Arg(64)->Arg(1024);
-
-void BM_DistributedFs(benchmark::State& state) {
-  const Graph& g = bench_graph();
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const std::uint64_t steps = 10000;
-  const DistributedFrontierSampler dfs(
-      g, {.dimension = m, .stop = {.max_steps = steps}});
-  Rng rng(5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dfs.run(rng));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(steps));
-}
-BENCHMARK(BM_DistributedFs)->Arg(64)->Arg(1024);
+BENCHMARK(BM_ParallelFs)->Arg(64)->Arg(1024);
 
 void BM_RandomEdgeSampler(benchmark::State& state) {
   const Graph& g = bench_graph();
@@ -193,19 +177,9 @@ double deterministic_fingerprint() {
     absorb(MultipleRandomWalks(g, {.num_walkers = 10, .steps_per_walker = 200})
                .run(rng));
   }
-  {
-    Rng rng(3);
-    absorb(FrontierSampler(
-               g, {.dimension = 64, .steps = 2000,
-                   .selection = FrontierSampler::Selection::kWeightedTree})
-               .run(rng));
-  }
-  {
-    Rng rng(4);
-    absorb(FrontierSampler(
-               g, {.dimension = 64, .steps = 2000,
-                   .selection = FrontierSampler::Selection::kLinearScan})
-               .run(rng));
+  for (const std::uint64_t seed : {3, 4}) {
+    Rng rng(seed);
+    absorb(FrontierSampler(g, {.dimension = 64, .steps = 2000}).run(rng));
   }
   {
     Rng rng(6);

@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   print_banner(std::cout,
                "Table 2: assortativity estimates (bias, |NMSE|), B = |V|/100");
   std::cout << "runs = " << runs
-            << "; GAB uses ER halves (see DESIGN.md: BA halves have r ~ 0 "
-               "at bench scale)\n\n";
+            << "; GAB uses ER halves (see docs/BENCHMARKS.md: BA halves "
+               "have r ~ 0 at bench scale)\n\n";
 
   TextTable table({"Graph", "r", "FS bias", "FS NMSE", "MRW bias", "MRW NMSE",
                    "SRW bias", "SRW NMSE"});

@@ -6,7 +6,9 @@
 
 #include "analysis/dense_chain.hpp"
 #include "sampling/budget.hpp"
+#include "sampling/frontier_sampler.hpp"
 #include "sampling/walk.hpp"
+#include "stream/sampler_cursors.hpp"
 
 namespace frontier {
 
@@ -87,37 +89,24 @@ std::vector<double> fs_vertex_edge_rates_mc(const Graph& g, std::size_t m,
     throw std::invalid_argument("fs_vertex_edge_rates_mc: m, runs >= 1");
   }
   const StartSampler starts(g, StartMode::kUniform);
+  // Advance steps-1 FS transitions; the Rao-Blackwell contribution is the
+  // conditional law of the step-th (last) edge given the frontier.
+  const FrontierSampler::Config config{.dimension = m,
+                                       .steps = steps ? steps - 1 : 0};
   std::vector<double> acc(g.num_vertices(), 0.0);
-  std::vector<VertexId> frontier(m);
+  StreamEventBlock block;
 
   for (std::size_t r = 0; r < runs; ++r) {
+    FrontierCursor cursor(g, config, rng, starts);
+    while (cursor.next_batch(block, block.capacity()) > 0) {
+    }
+    rng = cursor.rng();
     double total_deg = 0.0;
-    for (auto& v : frontier) {
-      v = starts.sample(rng);
+    for (VertexId v : cursor.frontier()) {
       total_deg += static_cast<double>(g.degree(v));
     }
-    // Advance steps-1 FS transitions; the Rao-Blackwell contribution is the
-    // conditional law of the step-th (last) edge given the frontier.
-    for (std::uint64_t n = 0; n + 1 < steps; ++n) {
-      // Linear-scan walker selection: m is small in Appendix B (K = 10).
-      const double target = uniform01(rng) * total_deg;
-      double cum = 0.0;
-      std::size_t i = m - 1;
-      for (std::size_t j = 0; j < m; ++j) {
-        cum += static_cast<double>(g.degree(frontier[j]));
-        if (target < cum) {
-          i = j;
-          break;
-        }
-      }
-      const VertexId u = frontier[i];
-      const VertexId v = step_uniform_neighbor(g, u, rng);
-      total_deg += static_cast<double>(g.degree(v)) -
-                   static_cast<double>(g.degree(u));
-      frontier[i] = v;
-    }
     const double inv_d = 1.0 / total_deg;
-    for (VertexId v : frontier) acc[v] += inv_d;
+    for (VertexId v : cursor.frontier()) acc[v] += inv_d;
   }
 
   // E[c_u/D] is already the probability of each individual edge out of u

@@ -3,7 +3,7 @@
 // #include "core/frontier.hpp" pulls in the whole library:
 //   * graph substrate (graph/, generators, components, metrics, io),
 //   * samplers (sampling/): SingleRandomWalk, MultipleRandomWalks,
-//     FrontierSampler, DistributedFrontierSampler, MetropolisHastingsWalk,
+//     FrontierSampler, ParallelFrontierSampler, MetropolisHastingsWalk,
 //     RandomVertexSampler, RandomEdgeSampler,
 //   * streaming (stream/): SamplerCursor one-step iteration, online
 //     EstimatorSinks, StreamEngine, checkpoint/resume,
@@ -39,7 +39,6 @@
 #include "sampling/single_rw.hpp"
 #include "sampling/multiple_rw.hpp"
 #include "sampling/frontier_sampler.hpp"
-#include "sampling/distributed_fs.hpp"
 #include "sampling/metropolis.hpp"
 #include "sampling/random_vertex.hpp"
 #include "sampling/random_edge.hpp"

@@ -9,8 +9,8 @@
 // paper's displayed estimator carries an extra 1/deg(v_i) in the numerator
 // and no factor 1/2; as literally written it converges to
 // (2/|V*|) Σ c(v)/deg(v) rather than C — we implement the corrected
-// weights (see EXPERIMENTS.md "deviations"); the two coincide on regular
-// graphs.
+// weights (see docs/BENCHMARKS.md, "Surrogates and deviations"); the two
+// coincide on regular graphs.
 #pragma once
 
 #include <span>

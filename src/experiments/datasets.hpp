@@ -8,7 +8,8 @@
 // (small disconnected components built from a power-law configuration
 // model plus isolated-edge dust), the mean degree, and — for Flickr —
 // Zipf-popularity group affiliations covering ~21% of users (Section 6.5).
-// See DESIGN.md §3 for the full substitution table.
+// docs/BENCHMARKS.md ("Surrogates and deviations") has the substitution
+// table.
 #pragma once
 
 #include <cstdint>

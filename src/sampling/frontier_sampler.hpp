@@ -11,10 +11,8 @@
 // steady state for large m (Theorem 5.4), which is what makes FS robust to
 // disconnected and loosely connected graphs.
 //
-// Walker selection is the per-step hot spot. Two strategies are provided:
-//   * kWeightedTree (default): Fenwick tree keyed by walker, O(log m)/step;
-//   * kLinearScan: cumulative scan over the m degrees, O(m)/step — simpler,
-//     faster for very small m, kept for the ablation benchmark.
+// Walker selection is the per-step hot spot: a Fenwick tree keyed by
+// walker (random/weighted_tree.hpp) makes it O(log m) per step.
 #pragma once
 
 #include <cstdint>
@@ -28,14 +26,11 @@ namespace frontier {
 
 class FrontierSampler {
  public:
-  enum class Selection : std::uint8_t { kWeightedTree, kLinearScan };
-
   struct Config {
     std::size_t dimension = 10;  ///< m, the number of dependent walkers
     std::uint64_t steps = 0;     ///< total steps n (B - m*c)
     double jump_cost = 1.0;      ///< c, charged once per walker at init
     StartMode start = StartMode::kUniform;
-    Selection selection = Selection::kWeightedTree;
   };
 
   FrontierSampler(const Graph& g, Config config);

@@ -1,8 +1,8 @@
 #include "sampling/parallel_fs.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -24,9 +24,16 @@ ParallelFrontierSampler::ParallelFrontierSampler(const Graph& g,
   if (config_.dimension == 0) {
     throw std::invalid_argument("ParallelFrontierSampler: m >= 1");
   }
-  if (config_.time_horizon <= 0.0) {
-    throw std::invalid_argument("ParallelFrontierSampler: horizon > 0");
+  // An infinite horizon never stops; a NaN one silently samples nothing.
+  if (!std::isfinite(config_.time_horizon) || config_.time_horizon <= 0.0) {
+    throw std::invalid_argument(
+        "ParallelFrontierSampler: horizon must be finite and > 0");
   }
+}
+
+double time_horizon_for_jumps(const Graph& g, std::size_t m, double jumps) {
+  return jumps * static_cast<double>(g.num_vertices()) /
+         (static_cast<double>(m) * static_cast<double>(g.volume()));
 }
 
 SampleRecord ParallelFrontierSampler::run(std::uint64_t seed) const {
@@ -42,30 +49,27 @@ SampleRecord ParallelFrontierSampler::run(std::uint64_t seed) const {
   for (auto& v : starts) v = start_sampler_.sample(start_rng);
 
   // Each walker owns an RNG stream keyed by its index — again independent
-  // of sharding. Threads process contiguous walker ranges.
+  // of sharding. Workers process contiguous walker ranges.
   std::vector<std::vector<TimedEdge>> shard_edges(workers);
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
   const Rng base(seed);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      auto& local = shard_edges[w];
-      for (std::size_t walker = w; walker < m; walker += workers) {
-        Rng rng = base.split_stream(walker);
-        VertexId v = starts[walker];
-        double now = exponential(rng, static_cast<double>(g.degree(v)));
-        while (now <= config_.time_horizon) {
-          const VertexId next = step_uniform_neighbor(g, v, rng);
-          local.push_back(TimedEdge{now, Edge{v, next}});
-          v = next;
-          now += exponential(rng, static_cast<double>(g.degree(v)));
+  parallel_for_ranges(
+      m, workers, [&](std::size_t w, std::size_t begin, std::size_t end) {
+        auto& local = shard_edges[w];
+        for (std::size_t walker = begin; walker < end; ++walker) {
+          Rng rng = base.split_stream(walker);
+          VertexId v = starts[walker];
+          double now = exponential(rng, static_cast<double>(g.degree(v)));
+          while (now <= config_.time_horizon) {
+            const VertexId next = step_uniform_neighbor(g, v, rng);
+            local.push_back(TimedEdge{now, Edge{v, next}});
+            v = next;
+            now += exponential(rng, static_cast<double>(g.degree(v)));
+          }
         }
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
+      });
 
-  // Merge by timestamp (ties broken by edge content for determinism).
+  // Merge by timestamp, ties broken by edge content: the full key makes
+  // the order independent of how walkers were sharded.
   std::vector<TimedEdge> all;
   std::size_t total = 0;
   for (const auto& shard : shard_edges) total += shard.size();

@@ -1,16 +1,20 @@
-// ParallelFrontierSampler: the Section 5.3 claim made concrete.
+// ParallelFrontierSampler: distributed Frontier Sampling (Section 5.3,
+// Theorem 5.5), the library's one implementation of it.
 //
-// Theorem 5.5 says FS can be fully distributed with zero coordination: run
-// m independent walkers whose holding time at v is Exp(deg(v)); the union
-// of their jump streams, ordered by global time, is a centralized FS
-// process. This class actually executes the walkers on `threads` OS
-// threads — each thread owns a disjoint shard of walkers and its own RNG
-// stream, simulates clocks independently, and the shards' timestamped
-// edges are merged afterwards. No locks, no messages, no shared state
-// between shards while sampling.
+// FS can be fully distributed with zero coordination: run m independent
+// walkers whose holding time at v is Exp(deg(v)). By uniformization, the
+// union of their jump streams ordered by global time is a centralized FS
+// process: at any instant the next walker to move is walker i with
+// probability deg(v_i)/Σ_j deg(v_j). This class executes the walkers on
+// `threads` OS threads — each thread owns a contiguous shard of walkers,
+// each walker its own RNG stream, clocks are simulated independently and
+// the shards' timestamped edges are merged afterwards. No locks, no
+// messages, no shared state between shards while sampling.
 //
-// The merged edge sequence has exactly the DistributedFrontierSampler law;
-// the parallelism is real (wall-clock scales with threads for large runs).
+// The stop rule is a time horizon, so the number of sampled edges is
+// random (it concentrates around horizon · E[frontier degree sum]). A
+// global step count would need a shared counter across walkers — the very
+// coordination Theorem 5.5 removes.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +28,8 @@ class ParallelFrontierSampler {
  public:
   struct Config {
     std::size_t dimension = 64;   ///< m walkers
-    double time_horizon = 10.0;   ///< observe jumps in [0, horizon]
+    double time_horizon = 10.0;   ///< observe jumps in [0, horizon];
+                                  ///< finite and > 0
     std::size_t threads = 0;      ///< 0 = hardware concurrency
     StartMode start = StartMode::kUniform;
   };
@@ -40,5 +45,12 @@ class ParallelFrontierSampler {
   Config config_;
   StartSampler start_sampler_;
 };
+
+/// The horizon at which m walkers make about `jumps` jumps in total once
+/// they are stationary. A walker's clock chain is stationary-uniform over
+/// the vertices of its component, so on a connected graph it jumps at
+/// rate vol(V)/|V|.
+[[nodiscard]] double time_horizon_for_jumps(const Graph& g, std::size_t m,
+                                            double jumps);
 
 }  // namespace frontier

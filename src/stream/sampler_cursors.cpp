@@ -84,54 +84,24 @@ FrontierCursor::FrontierCursor(const Graph& g, FrontierSampler::Config config,
 
 void FrontierCursor::init_selection() {
   const Graph& g = *graph_;
-  if (config_.selection == FrontierSampler::Selection::kWeightedTree) {
-    std::vector<double> weights(frontier_.size());
-    for (std::size_t i = 0; i < frontier_.size(); ++i) {
-      weights[i] = static_cast<double>(g.degree(frontier_[i]));
-    }
-    tree_ = WeightedTree{std::span<const double>(weights)};
-  } else {
-    scan_total_ = 0.0;
-    for (VertexId v : frontier_) {
-      scan_total_ += static_cast<double>(g.degree(v));
-    }
+  std::vector<double> weights(frontier_.size());
+  for (std::size_t i = 0; i < frontier_.size(); ++i) {
+    weights[i] = static_cast<double>(g.degree(frontier_[i]));
   }
+  tree_ = WeightedTree{std::span<const double>(weights)};
 }
 
 bool FrontierCursor::next(StreamEvent& ev) {
   ev.clear();
   if (step_ == config_.steps) return false;
   const Graph& g = *graph_;
-  if (config_.selection == FrontierSampler::Selection::kWeightedTree) {
-    const std::size_t i = tree_.sample(rng_);  // line 4: walker ∝ degree
-    const VertexId u = frontier_[i];
-    const VertexId v = step_uniform_neighbor(g, u, rng_);  // line 5
-    ev.edge = Edge{u, v};                                  // line 6
-    ev.has_edge = true;
-    frontier_[i] = v;
-    tree_.set(i, static_cast<double>(g.degree(v)));
-  } else {
-    // Linear-scan selection: draw a threshold in [0, Σ deg) and walk the
-    // frontier until the cumulative degree passes it.
-    const std::size_t m = config_.dimension;
-    const double target = uniform01(rng_) * scan_total_;
-    double acc = 0.0;
-    std::size_t i = m - 1;
-    for (std::size_t k = 0; k < m; ++k) {
-      acc += static_cast<double>(g.degree(frontier_[k]));
-      if (target < acc) {
-        i = k;
-        break;
-      }
-    }
-    const VertexId u = frontier_[i];
-    const VertexId v = step_uniform_neighbor(g, u, rng_);
-    ev.edge = Edge{u, v};
-    ev.has_edge = true;
-    scan_total_ += static_cast<double>(g.degree(v)) -
-                   static_cast<double>(g.degree(u));
-    frontier_[i] = v;
-  }
+  const std::size_t i = tree_.sample(rng_);  // line 4: walker ∝ degree
+  const VertexId u = frontier_[i];
+  const VertexId v = step_uniform_neighbor(g, u, rng_);  // line 5
+  ev.edge = Edge{u, v};                                  // line 6
+  ev.has_edge = true;
+  frontier_[i] = v;
+  tree_.set(i, static_cast<double>(g.degree(v)));
   ++step_;
   return true;
 }
@@ -146,46 +116,19 @@ std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
   const Graph& g = *graph_;
   Rng rng = rng_;  // hot state in locals; written back after the loop
   VertexId* frontier = frontier_.data();
-  if (config_.selection == FrontierSampler::Selection::kWeightedTree) {
-    for (std::size_t k = 0; k < want; ++k) {
-      const std::size_t i = tree_.sample(rng);  // line 4: walker ∝ degree
-      const VertexId u = frontier[i];
-      const auto nbrs = g.neighbors(u);                      // line 5
-      const VertexId v = nbrs[uniform_index(rng, nbrs.size())];
-      const std::uint32_t dv = g.degree(v);
-      // Warm v's adjacency now: this walker is next selected ~m steps
-      // from now, far beyond the prefetch latency, so its step then
-      // hits cache instead of stalling on main memory.
-      g.prefetch_neighbors(v);
-      block.push_edge(u, v, dv);                             // line 6
-      frontier[i] = v;
-      tree_.set(i, static_cast<double>(dv));
-    }
-  } else {
-    const std::size_t m = config_.dimension;
-    double scan_total = scan_total_;
-    for (std::size_t step = 0; step < want; ++step) {
-      const double target = uniform01(rng) * scan_total;
-      double acc = 0.0;
-      std::size_t i = m - 1;
-      for (std::size_t k = 0; k < m; ++k) {
-        acc += static_cast<double>(g.degree(frontier[k]));
-        if (target < acc) {
-          i = k;
-          break;
-        }
-      }
-      const VertexId u = frontier[i];
-      const auto nbrs = g.neighbors(u);
-      const VertexId v = nbrs[uniform_index(rng, nbrs.size())];
-      const std::uint32_t dv = g.degree(v);
-      g.prefetch_neighbors(v);
-      block.push_edge(u, v, dv);
-      scan_total +=
-          static_cast<double>(dv) - static_cast<double>(g.degree(u));
-      frontier[i] = v;
-    }
-    scan_total_ = scan_total;
+  for (std::size_t k = 0; k < want; ++k) {
+    const std::size_t i = tree_.sample(rng);  // line 4: walker ∝ degree
+    const VertexId u = frontier[i];
+    const auto nbrs = g.neighbors(u);                      // line 5
+    const VertexId v = nbrs[uniform_index(rng, nbrs.size())];
+    const std::uint32_t dv = g.degree(v);
+    // Warm v's adjacency now: this walker is next selected ~m steps
+    // from now, far beyond the prefetch latency, so its step then
+    // hits cache instead of stalling on main memory.
+    g.prefetch_neighbors(v);
+    block.push_edge(u, v, dv);                             // line 6
+    frontier[i] = v;
+    tree_.set(i, static_cast<double>(dv));
   }
   step_ += want;
   rng_ = rng;
@@ -202,11 +145,14 @@ void FrontierCursor::save_state(std::ostream& os) const {
   write_pod<std::uint64_t>(os, config_.steps);
   write_pod<double>(os, config_.jump_cost);
   write_pod<std::uint8_t>(os, static_cast<std::uint8_t>(config_.start));
-  write_pod<std::uint8_t>(os, static_cast<std::uint8_t>(config_.selection));
+  // Two retired slots keep the checkpoint layout: the walker-selection
+  // byte (one strategy is left, written as 0) and a double that held a
+  // running degree total (written as 0.0). load_state expects both.
+  write_pod<std::uint8_t>(os, 0);
   write_pod<std::uint64_t>(os, step_);
   write_vector(os, frontier_);
   write_vector(os, starts_);
-  write_pod<double>(os, scan_total_);
+  write_pod<double>(os, 0.0);
   write_rng(os, rng_);
 }
 
@@ -216,22 +162,19 @@ void FrontierCursor::load_state(std::istream& is) {
   expect_pod<double>(is, config_.jump_cost, "jump_cost");
   expect_pod<std::uint8_t>(is, static_cast<std::uint8_t>(config_.start),
                            "start mode");
-  expect_pod<std::uint8_t>(is, static_cast<std::uint8_t>(config_.selection),
-                           "selection");
+  expect_pod<std::uint8_t>(is, 0, "selection");
   step_ = read_pod<std::uint64_t>(is);
   frontier_ = read_vector<VertexId>(is);
   starts_ = read_vector<VertexId>(is);
-  const double scan_total = read_pod<double>(is);
+  expect_pod<double>(is, 0.0, "retired slot");
   read_rng(is, rng_);
   if (frontier_.size() != config_.dimension || step_ > config_.steps) {
     throw IoError("FrontierCursor: corrupt checkpoint (frontier size)");
   }
   for (VertexId v : frontier_) check_position(*graph_, v, "frontier");
   // The Fenwick tree is a pure function of the frontier degrees (integer
-  // weights, so the rebuild is bit-exact); the scan total is restored
-  // verbatim to preserve its accumulated value.
+  // weights, so the rebuild is bit-exact).
   init_selection();
-  scan_total_ = scan_total;
 }
 
 // ---------------------------------------------------------------- SingleRW

@@ -78,8 +78,7 @@ class FrontierCursor final : public SamplerCursor {
   FrontierSampler::Config config_;
   std::vector<VertexId> frontier_;
   std::vector<VertexId> starts_;
-  WeightedTree tree_;      // kWeightedTree: Fenwick over walker degrees
-  double scan_total_ = 0;  // kLinearScan: running Σ deg over the frontier
+  WeightedTree tree_;  // Fenwick over walker degrees
   std::uint64_t step_ = 0;
   Rng rng_;
 };

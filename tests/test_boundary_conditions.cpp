@@ -10,9 +10,9 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "sampling/coverage.hpp"
-#include "sampling/distributed_fs.hpp"
 #include "sampling/frontier_sampler.hpp"
 #include "sampling/multiple_rw.hpp"
+#include "sampling/parallel_fs.hpp"
 #include "sampling/random_edge.hpp"
 #include "sampling/random_vertex.hpp"
 #include "sampling/single_rw.hpp"
@@ -65,12 +65,23 @@ TEST(Boundary, FrontierDimensionLargerThanGraph) {
   EXPECT_EQ(rec.edges.size(), 100u);
 }
 
-TEST(Boundary, SingleWalkerDistributedFs) {
-  Rng rng(5);
+TEST(Boundary, SingleWalkerParallelFs) {
+  // One walker on a 2-regular graph jumps at rate 2, so a horizon of 25
+  // gives ~50 edges, and with nothing to merge they form one walk. The
+  // pool is clamped to one worker per walker.
   const Graph g = cycle_graph(6);
-  const DistributedFrontierSampler dfs(
-      g, {.dimension = 1, .stop = {.max_steps = 50}});
-  EXPECT_EQ(dfs.run(rng).edges.size(), 50u);
+  const ParallelFrontierSampler pfs(
+      g, {.dimension = 1, .time_horizon = 25.0, .threads = 4});
+  const SampleRecord rec = pfs.run(5);
+  ASSERT_EQ(rec.starts.size(), 1u);
+  ASSERT_GT(rec.edges.size(), 20u);
+  EXPECT_EQ(rec.cost, static_cast<double>(rec.edges.size() + 1));
+  VertexId at = rec.starts[0];
+  for (const Edge& e : rec.edges) {
+    EXPECT_EQ(e.u, at);
+    EXPECT_TRUE(g.has_edge(e.u, e.v));
+    at = e.v;
+  }
 }
 
 TEST(Boundary, EstimatorsOnSingleSample) {

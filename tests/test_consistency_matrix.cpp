@@ -15,9 +15,9 @@
 #include "estimators/graph_moments.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
-#include "sampling/distributed_fs.hpp"
 #include "sampling/frontier_sampler.hpp"
 #include "sampling/multiple_rw.hpp"
+#include "sampling/parallel_fs.hpp"
 #include "sampling/random_edge.hpp"
 #include "sampling/single_rw.hpp"
 
@@ -48,11 +48,12 @@ std::vector<SamplerCase> uniform_edge_samplers() {
              .run(rng)
              .edges;
        }},
-      {"DistributedFS",
+      {"ParallelFS",
        [](const Graph& g, Rng& rng) {
-         return DistributedFrontierSampler(
-                    g, {.dimension = 25, .stop = {.max_steps = 200000}})
-             .run(rng)
+         return ParallelFrontierSampler(
+                    g, {.dimension = 25,
+                        .time_horizon = time_horizon_for_jumps(g, 25, 2e5)})
+             .run(rng())
              .edges;
        }},
       {"RandomEdge",

@@ -52,15 +52,6 @@ TEST(FrontierSampler, TrajectoryIsValidWeightedTree) {
   expect_valid_fs_trajectory(g, fs.run(rng));
 }
 
-TEST(FrontierSampler, TrajectoryIsValidLinearScan) {
-  Rng rng(4);
-  const Graph g = barabasi_albert(80, 2, rng);
-  const FrontierSampler fs(
-      g, {.dimension = 7, .steps = 500,
-          .selection = FrontierSampler::Selection::kLinearScan});
-  expect_valid_fs_trajectory(g, fs.run(rng));
-}
-
 TEST(FrontierSampler, DimensionOneEqualsSingleWalkLaw) {
   // With m = 1 FS degenerates to a plain random walk: stationary visit
   // frequencies are degree proportional.
@@ -93,29 +84,6 @@ TEST(FrontierSampler, SamplesEdgesUniformlyInLongRun) {
     EXPECT_NEAR(count / static_cast<double>(rec.edges.size()), expect,
                 0.25 * expect)
         << edge.first << "->" << edge.second;
-  }
-}
-
-TEST(FrontierSampler, SelectionStrategiesAgreeInDistribution) {
-  // Both strategies must give the same degree-proportional walker choice;
-  // compare per-vertex visit frequencies on a fixed graph.
-  Rng rng(7);
-  const Graph g = barabasi_albert(50, 2, rng);
-  const std::uint64_t steps = 200000;
-  const FrontierSampler tree(g, {.dimension = 10, .steps = steps});
-  const FrontierSampler scan(
-      g, {.dimension = 10, .steps = steps,
-          .selection = FrontierSampler::Selection::kLinearScan});
-  Rng rng_a(100);
-  Rng rng_b(200);
-  std::vector<double> fa(g.num_vertices(), 0.0);
-  std::vector<double> fb(g.num_vertices(), 0.0);
-  for (const Edge& e : tree.run(rng_a).edges) fa[e.v] += 1.0;
-  for (const Edge& e : scan.run(rng_b).edges) fb[e.v] += 1.0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_NEAR(fa[v] / static_cast<double>(steps),
-                fb[v] / static_cast<double>(steps),
-                0.25 * fa[v] / static_cast<double>(steps) + 0.002);
   }
 }
 

@@ -1,15 +1,12 @@
-// RandomWalkWithJumps and ParallelFrontierSampler.
+// RandomWalkWithJumps.
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "sampling/distributed_fs.hpp"
-#include "sampling/parallel_fs.hpp"
 #include "sampling/random_walk_with_jumps.hpp"
 #include "stream/sampler_cursors.hpp"
 
@@ -115,86 +112,6 @@ TEST(RandomWalkWithJumps, LowHitRatioShrinksYield) {
     pricey_edges += static_cast<double>(pricey.run(rng).edges.size());
   }
   EXPECT_LT(pricey_edges, 0.5 * cheap_edges);
-}
-
-TEST(ParallelFs, ValidatesConfig) {
-  Rng rng(6);
-  const Graph g = cycle_graph(4);
-  EXPECT_THROW(ParallelFrontierSampler(g, {.dimension = 0}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      ParallelFrontierSampler(g, {.dimension = 2, .time_horizon = 0.0}),
-      std::invalid_argument);
-}
-
-TEST(ParallelFs, DeterministicAcrossThreadCounts) {
-  Rng setup(7);
-  const Graph g = barabasi_albert(300, 2, setup);
-  const ParallelFrontierSampler one(
-      g, {.dimension = 32, .time_horizon = 5.0, .threads = 1});
-  const ParallelFrontierSampler many(
-      g, {.dimension = 32, .time_horizon = 5.0, .threads = 8});
-  const SampleRecord a = one.run(42);
-  const SampleRecord b = many.run(42);
-  ASSERT_EQ(a.edges.size(), b.edges.size());
-  for (std::size_t i = 0; i < a.edges.size(); ++i) {
-    EXPECT_EQ(a.edges[i], b.edges[i]) << "edge " << i;
-  }
-}
-
-TEST(ParallelFs, EdgesAreValidAndStartsRecorded) {
-  Rng setup(8);
-  const Graph g = barabasi_albert(200, 2, setup);
-  const ParallelFrontierSampler pfs(
-      g, {.dimension = 16, .time_horizon = 20.0});
-  const SampleRecord rec = pfs.run(7);
-  EXPECT_EQ(rec.starts.size(), 16u);
-  EXPECT_GT(rec.edges.size(), 100u);
-  for (const Edge& e : rec.edges) EXPECT_TRUE(g.has_edge(e.u, e.v));
-}
-
-TEST(ParallelFs, MatchesDistributedFsLaw) {
-  // Same vertex-visit law as the (serial) exponential-clock sampler.
-  Rng setup(9);
-  const Graph g = barabasi_albert(40, 2, setup);
-  const double horizon =
-      300000.0 / static_cast<double>(g.volume());  // ~300k jumps
-
-  const ParallelFrontierSampler pfs(
-      g, {.dimension = 8, .time_horizon = horizon});
-  std::vector<double> freq_p(g.num_vertices(), 0.0);
-  const SampleRecord rp = pfs.run(11);
-  for (const Edge& e : rp.edges) freq_p[e.v] += 1.0;
-
-  const DistributedFrontierSampler dfs(
-      g, {.dimension = 8, .stop = {.max_steps = rp.edges.size()}});
-  Rng rng_d(12);
-  std::vector<double> freq_d(g.num_vertices(), 0.0);
-  const SampleRecord rd = dfs.run(rng_d);
-  for (const Edge& e : rd.edges) freq_d[e.v] += 1.0;
-
-  const double np = static_cast<double>(rp.edges.size());
-  const double nd = static_cast<double>(rd.edges.size());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_NEAR(freq_p[v] / np, freq_d[v] / nd,
-                0.2 * freq_p[v] / np + 0.003)
-        << "vertex " << v;
-  }
-}
-
-TEST(ParallelFs, HorizonScalesEventCount) {
-  Rng setup(10);
-  const Graph g = barabasi_albert(500, 3, setup);
-  const ParallelFrontierSampler short_run(
-      g, {.dimension = 32, .time_horizon = 2.0});
-  const ParallelFrontierSampler long_run(
-      g, {.dimension = 32, .time_horizon = 4.0});
-  double s = 0.0, l = 0.0;
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    s += static_cast<double>(short_run.run(seed).edges.size());
-    l += static_cast<double>(long_run.run(seed).edges.size());
-  }
-  EXPECT_NEAR(l / s, 2.0, 0.2);
 }
 
 }  // namespace

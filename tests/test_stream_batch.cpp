@@ -120,18 +120,6 @@ TEST(StreamBatch, FrontierWeightedTreeAllBatchSizes) {
   });
 }
 
-TEST(StreamBatch, FrontierLinearScanAllBatchSizes) {
-  const Graph g = test_graph();
-  check_batch_equivalence([&] {
-    return std::make_unique<FrontierCursor>(
-        g,
-        FrontierSampler::Config{
-            .dimension = 6, .steps = 3000,
-            .selection = FrontierSampler::Selection::kLinearScan},
-        Rng(8));
-  });
-}
-
 TEST(StreamBatch, SingleRwWithBurnInAndLazinessAllBatchSizes) {
   const Graph g = test_graph();
   check_batch_equivalence([&] {

@@ -127,17 +127,34 @@ TEST(StreamCheckpoint, FrontierRoundtrip) {
       1234);
 }
 
-TEST(StreamCheckpoint, FrontierLinearScanRoundtrip) {
+TEST(StreamCheckpoint, FrontierRetiredSlotsMustBeZero) {
+  // The walker-selection byte and the double after the starts are
+  // retired: FrontierCursor always writes them as zero and refuses any
+  // other value as a corrupt checkpoint.
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{
-      .dimension = 4, .steps = 3000,
-      .selection = FrontierSampler::Selection::kLinearScan};
-  check_roundtrip(
-      g,
-      [&](std::uint64_t seed) {
-        return std::make_unique<FrontierCursor>(g, cfg, Rng(seed));
-      },
-      777);
+  const FrontierSampler::Config cfg{.dimension = 4, .steps = 100};
+  const FrontierCursor cursor(g, cfg, Rng(3));
+  std::ostringstream os;
+  cursor.save_state(os);
+  const std::string bytes = os.str();
+  // After dimension, steps, jump cost (8 bytes each) and the start mode.
+  const std::size_t selection = 3 * 8 + 1;
+  // Just before the trailing RNG state.
+  const std::size_t retired = bytes.size() - 4 * 8 - 8;
+  EXPECT_EQ(bytes[selection], '\0');
+  EXPECT_EQ(bytes.substr(retired, 8), std::string(8, '\0'));
+
+  std::istringstream good(bytes);
+  FrontierCursor resumed(g, cfg, Rng(9));
+  resumed.load_state(good);
+  EXPECT_TRUE(resumed.rng() == cursor.rng());
+  for (const std::size_t at : {selection, retired}) {
+    std::string bad = bytes;
+    bad[at] = 1;
+    std::istringstream is(bad);
+    FrontierCursor fresh(g, cfg, Rng(9));
+    EXPECT_THROW(fresh.load_state(is), IoError) << "byte " << at;
+  }
 }
 
 TEST(StreamCheckpoint, SingleRwRoundtrip) {

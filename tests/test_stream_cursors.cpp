@@ -65,20 +65,6 @@ TEST(StreamCursors, FrontierMatchesBatchWeightedTree) {
   EXPECT_TRUE(batch_rng == cursor.rng());
 }
 
-TEST(StreamCursors, FrontierMatchesBatchLinearScan) {
-  const Graph g = test_graph();
-  const FrontierSampler fs(
-      g, {.dimension = 6, .steps = 3000,
-          .selection = FrontierSampler::Selection::kLinearScan});
-  Rng batch_rng(8);
-  Rng stream_rng(8);
-  const SampleRecord batch = fs.run(batch_rng);
-  FrontierCursor cursor(g, fs.config(), stream_rng);
-  const SampleRecord streamed = collect(cursor);
-  expect_identical(batch, streamed);
-  EXPECT_TRUE(batch_rng == cursor.rng());
-}
-
 TEST(StreamCursors, FrontierRunFromMatchesExplicitFrontier) {
   const Graph g = test_graph();
   const FrontierSampler fs(g, {.dimension = 4, .steps = 1000});

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -118,6 +119,51 @@ TEST(WeightedTree, ManyIncrementalUpdatesStayConsistent) {
     total += shadow[i];
   }
   EXPECT_NEAR(tree.total(), total, 1e-9);
+}
+
+// Reference for find_prefix: walk the slots, accumulating weights, and
+// return the first slot whose cumulative weight passes the target.
+std::size_t cumulative_scan(const std::vector<double>& w, double target) {
+  double acc = 0.0;
+  for (std::size_t k = 0; k < w.size(); ++k) {
+    acc += w[k];
+    if (target < acc) return k;
+  }
+  return w.size() - 1;
+}
+
+TEST(WeightedTree, FindPrefixMatchesCumulativeScan) {
+  // Integer weights keep every prefix sum exact, so the Fenwick descent
+  // must agree with the scan exactly, at every prefix boundary and one
+  // ulp either side of it, including around zero-weight slots.
+  for (const std::size_t n : {1, 3, 7, 100, 1000, 1500, 2049}) {
+    Rng rng(300 + n);
+    std::vector<double> w(n);
+    for (double& x : w) x = static_cast<double>(uniform_index(rng, 10));
+    w[0] = 1.0;  // total > 0
+    WeightedTree tree{std::span<const double>(w)};
+    for (int round = 0; round < 4; ++round) {
+      double prefix = 0.0;
+      for (std::size_t k = 0; k <= n; ++k) {
+        for (const double target :
+             {std::nextafter(prefix, -1.0), prefix,
+              std::nextafter(prefix, prefix + 1.0)}) {
+          if (target < 0.0 || target >= tree.total()) continue;
+          ASSERT_EQ(tree.find_prefix(target), cumulative_scan(w, target))
+              << "n " << n << " round " << round << " target " << target;
+        }
+        if (k < n) prefix += w[k];
+      }
+      ASSERT_EQ(prefix, tree.total());
+      for (std::size_t u = 0; u < 1 + n / 8; ++u) {
+        const std::size_t i = uniform_index(rng, n);
+        w[i] = static_cast<double>(uniform_index(rng, 10));
+        tree.set(i, w[i]);
+      }
+      w[0] = 1.0;
+      tree.set(0, 1.0);
+    }
+  }
 }
 
 class WeightedTreeSizeSweep : public ::testing::TestWithParam<std::size_t> {};
