@@ -32,7 +32,6 @@
 #include "graph/components.hpp"
 #include "graph/metrics.hpp"
 #include "graph/io.hpp"
-#include "graph/distance.hpp"
 
 #include "sampling/budget.hpp"
 #include "sampling/walk.hpp"
@@ -61,13 +60,11 @@
 #include "estimators/clustering.hpp"
 #include "estimators/graph_moments.hpp"
 #include "estimators/joint_degree.hpp"
-#include "estimators/neighbor_degree.hpp"
 
 #include "stats/accumulators.hpp"
 #include "stats/bench_report.hpp"
 #include "stats/error_metrics.hpp"
 #include "stats/analytic.hpp"
-#include "stats/bootstrap.hpp"
 
 #include "cli/options.hpp"
 #include "cli/load.hpp"

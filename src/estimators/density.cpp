@@ -21,17 +21,6 @@ double estimate_vertex_label_density(
   return sink.value();
 }
 
-double estimate_vertex_label_density_uniform(
-    std::span<const VertexId> vertices,
-    const std::function<bool(VertexId)>& pred) {
-  if (vertices.empty()) return 0.0;
-  std::uint64_t hits = 0;
-  for (VertexId v : vertices) {
-    if (pred(v)) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(vertices.size());
-}
-
 std::vector<double> estimate_group_densities(
     const Graph& g, std::span<const Edge> edges,
     const std::function<std::span<const std::uint32_t>(VertexId)>& groups_of,

@@ -31,12 +31,6 @@ namespace frontier {
     const Graph& g, std::span<const Edge> edges,
     const std::function<bool(VertexId)>& pred);
 
-/// Vertex label density from *uniform vertex* samples: the plain empirical
-/// fraction (no reweighting needed).
-[[nodiscard]] double estimate_vertex_label_density_uniform(
-    std::span<const VertexId> vertices,
-    const std::function<bool(VertexId)>& pred);
-
 /// Batched group-affiliation densities (Section 6.5): estimates θ_l for all
 /// groups l in [0, num_groups) in one pass. `groups_of(v)` returns the group
 /// ids of vertex v.

@@ -70,23 +70,6 @@ void print_curves(std::ostream& os, const std::string& x_name,
   table.print(os);
 }
 
-void write_curves_csv(std::ostream& os, const std::string& x_name,
-                      std::span<const std::uint32_t> xs,
-                      std::span<const std::string> series_names,
-                      std::span<const std::vector<double>> series) {
-  os << x_name;
-  for (const auto& name : series_names) os << ',' << name;
-  os << '\n';
-  for (std::uint32_t x : xs) {
-    os << x;
-    for (const auto& s : series) {
-      os << ',';
-      if (x < s.size()) os << s[x];
-    }
-    os << '\n';
-  }
-}
-
 void print_banner(std::ostream& os, const std::string& title) {
   os << '\n' << "== " << title << " ==\n\n";
 }

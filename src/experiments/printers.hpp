@@ -38,12 +38,6 @@ void print_curves(std::ostream& os, const std::string& x_name,
                   std::span<const std::string> series_names,
                   std::span<const std::vector<double>> series);
 
-/// Writes the same data as CSV (for external plotting).
-void write_curves_csv(std::ostream& os, const std::string& x_name,
-                      std::span<const std::uint32_t> xs,
-                      std::span<const std::string> series_names,
-                      std::span<const std::vector<double>> series);
-
 /// Prints a figure/table banner ("== Figure 5: ... ==").
 void print_banner(std::ostream& os, const std::string& title);
 

@@ -19,9 +19,9 @@ using Clock = std::chrono::steady_clock;
   return d < 0 ? 0 : static_cast<std::uint64_t>(d);
 }
 
-/// Pool telemetry, registered once per dispatch when metrics are on.
-/// Handles are value types, so each worker times its own runs without
-/// touching shared state (the cells are per-thread shards).
+/// Pool telemetry, registered once per dispatch_range call when metrics
+/// are on. Handles are value types, so each worker times its own runs
+/// without touching shared state (the cells are per-thread shards).
 struct PoolMetrics {
   Counter runs_total;
   Counter busy_ns_total;

@@ -39,44 +39,18 @@ class ReplicationRunner {
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
   [[nodiscard]] std::size_t workers() const noexcept { return workers_; }
 
-  /// Runs the body for every run; no results are kept. Bodies take either
-  /// (run_index, rng) or (run_index, rng, arena) — the arena overload
-  /// hands the body its worker's SampleArena, which is constructed once
-  /// per worker and reused across every run that worker executes, so a
-  /// body that drains samplers through run_into() allocates nothing after
-  /// its first run. The arena carries *scratch*, never results: runs
-  /// scheduled onto the same worker must not communicate through it.
-  template <typename Body>
-  void for_each(const Body& body) const {
-    dispatch([&](std::size_t r, Rng& rng, SampleArena& arena) {
-      invoke_body(body, r, rng, arena);
-    });
-  }
-
-  /// Runs body(run_index, rng[, arena]) -> R for every run and returns
-  /// the results in run order. R must be movable; all runs are
-  /// materialized at once, so per-run results should be O(estimate), not
-  /// O(budget).
-  template <typename Body>
-  [[nodiscard]] auto map(const Body& body) const {
-    using R = body_result_t<Body>;
-    std::vector<std::optional<R>> slots(runs_);
-    dispatch([&](std::size_t r, Rng& rng, SampleArena& arena) {
-      slots[r].emplace(invoke_body(body, r, rng, arena));
-    });
-    std::vector<R> results;
-    results.reserve(runs_);
-    for (auto& slot : slots) results.push_back(std::move(*slot));
-    return results;
-  }
-
-  /// Ordered fold: fold(acc, std::move(result_r)) is applied for
-  /// r = 0, 1, ..., runs-1 regardless of how the runs were scheduled, so
-  /// the reduction is bit-identical for any thread count. Runs are
-  /// processed in fixed-size chunks (kReduceChunk — a constant, so the
-  /// fold order never depends on the thread count) and each chunk's slots
-  /// are released after folding: transient memory is O(chunk * result),
-  /// not O(runs * result) like map().
+  /// Runs body(run_index, rng[, arena]) -> R for every run and applies
+  /// fold(acc, std::move(result_r)) for r = 0, 1, ..., runs-1 regardless
+  /// of how the runs were scheduled, so the reduction is bit-identical for
+  /// any thread count. The 3-argument body receives its worker's
+  /// SampleArena, constructed once per worker and reused across every run
+  /// that worker executes, so a body that drains samplers through
+  /// run_into() allocates nothing after its first run. The arena carries
+  /// *scratch*, never results: runs scheduled onto the same worker must
+  /// not communicate through it. Runs are processed in fixed-size chunks
+  /// (kReduceChunk — a constant, so the fold order never depends on the
+  /// thread count) and each chunk's slots are released after folding:
+  /// transient memory is O(chunk * result), not O(runs * result).
   template <typename Acc, typename Body, typename Fold>
   [[nodiscard]] Acc map_reduce(Acc init, const Body& body,
                                const Fold& fold) const {
@@ -130,12 +104,6 @@ class ReplicationRunner {
       std::size_t begin, std::size_t end,
       const std::function<void(std::size_t, Rng&, SampleArena&)>& per_run)
       const;
-
-  void dispatch(
-      const std::function<void(std::size_t, Rng&, SampleArena&)>& per_run)
-      const {
-    dispatch_range(0, runs_, per_run);
-  }
 
   std::size_t runs_;
   std::uint64_t seed_;

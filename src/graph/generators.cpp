@@ -205,36 +205,6 @@ Graph erdos_renyi_gnp(std::size_t n, double p, Rng& rng) {
   return builder.build();
 }
 
-Graph erdos_renyi_gnm(std::size_t n, std::uint64_t m, Rng& rng) {
-  require(n >= 2 || m == 0, "erdos_renyi_gnm: need n >= 2 for edges");
-  const std::uint64_t max_edges =
-      static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  require(m <= max_edges, "erdos_renyi_gnm: m exceeds n*(n-1)/2");
-
-  GraphBuilder builder(n);
-  // Floyd's algorithm over linearized unordered pairs gives m distinct
-  // pairs in O(m) expected time without an O(n^2) bitmap.
-  std::vector<std::uint64_t> picked;
-  picked.reserve(m);
-  for (std::uint64_t j = max_edges - m; j < max_edges; ++j) {
-    std::uint64_t t = uniform_index(rng, j + 1);
-    if (std::find(picked.begin(), picked.end(), t) != picked.end()) t = j;
-    picked.push_back(t);
-  }
-  for (std::uint64_t code : picked) {
-    // Decode pair index -> (u, v), u > v, from the triangular enumeration.
-    const auto u = static_cast<std::uint64_t>(
-        (1.0 + std::sqrt(1.0 + 8.0 * static_cast<double>(code))) / 2.0);
-    std::uint64_t uu = u;
-    while (uu * (uu - 1) / 2 > code) --uu;
-    while ((uu + 1) * uu / 2 <= code) ++uu;
-    const std::uint64_t vv = code - uu * (uu - 1) / 2;
-    builder.add_undirected_edge(static_cast<VertexId>(uu),
-                                static_cast<VertexId>(vv));
-  }
-  return builder.build();
-}
-
 Graph configuration_model(std::span<const std::uint32_t> degrees, Rng& rng) {
   std::uint64_t total = 0;
   for (auto d : degrees) total += d;

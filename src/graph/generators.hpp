@@ -58,9 +58,6 @@ namespace frontier {
 /// O(n + m) via geometric skipping.
 [[nodiscard]] Graph erdos_renyi_gnp(std::size_t n, double p, Rng& rng);
 
-/// Erdős–Rényi G(n, m): exactly m distinct undirected edges.
-[[nodiscard]] Graph erdos_renyi_gnm(std::size_t n, std::uint64_t m, Rng& rng);
-
 /// Configuration model over the given degree sequence (sum must be even).
 /// Stub-matching; self-loops and parallel edges are erased, so realized
 /// degrees can be slightly below the request for heavy-tailed inputs.

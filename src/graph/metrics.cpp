@@ -116,28 +116,6 @@ double exact_global_clustering(const Graph& g) {
   return eligible == 0 ? 0.0 : sum / static_cast<double>(eligible);
 }
 
-std::vector<double> average_neighbor_degree(const Graph& g) {
-  std::vector<double> sum;
-  std::vector<std::uint64_t> count;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const std::uint32_t k = g.degree(v);
-    if (k == 0) continue;
-    if (k >= sum.size()) {
-      sum.resize(k + 1, 0.0);
-      count.resize(k + 1, 0);
-    }
-    for (VertexId u : g.neighbors(v)) {
-      sum[k] += static_cast<double>(g.degree(u));
-    }
-    count[k] += k;
-  }
-  std::vector<double> knn(sum.size(), 0.0);
-  for (std::size_t k = 0; k < sum.size(); ++k) {
-    if (count[k] > 0) knn[k] = sum[k] / static_cast<double>(count[k]);
-  }
-  return knn;
-}
-
 GraphSummary summarize(const Graph& g, std::string name) {
   GraphSummary s;
   s.name = std::move(name);

@@ -53,12 +53,6 @@ enum class DegreeKind : std::uint8_t {
 /// deg(v) >= 2 of ∆(v) / C(deg(v), 2). Returns 0 if no such vertex exists.
 [[nodiscard]] double exact_global_clustering(const Graph& g);
 
-/// Exact average-neighbor-degree curve knn(k): for each symmetric degree k,
-/// the mean over edges (v,u) with deg(v) = k of deg(u). The standard
-/// degree-correlation summary complementing the scalar assortativity; 0
-/// where no vertex of degree k exists.
-[[nodiscard]] std::vector<double> average_neighbor_degree(const Graph& g);
-
 /// Row of the paper's Table 1.
 struct GraphSummary {
   std::string name;

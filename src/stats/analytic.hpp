@@ -21,11 +21,4 @@ namespace frontier {
 [[nodiscard]] double analytic_nmse_vertex_sampling(double theta_i,
                                                    double budget);
 
-/// Degree at which the two models cross: edge sampling is more accurate for
-/// degrees above the mean degree, vertex sampling below it.
-[[nodiscard]] constexpr double analytic_crossover_degree(
-    double mean_degree) noexcept {
-  return mean_degree;
-}
-
 }  // namespace frontier

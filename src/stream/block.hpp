@@ -10,9 +10,10 @@
 // per-event SamplerCursor::next(StreamEvent&) survives only as the test
 // reference for next_batch().
 //
-// Blocks are caller-owned and reusable: StreamEngine, drain_cursor and
-// the per-worker replication arenas each keep one block alive across
-// refills, so the steady state of the pipeline allocates nothing. The
+// Blocks are caller-owned and reusable: StreamEngine, drain_cursor, the
+// per-worker replication arenas and ingest_sample (one per thread) each
+// keep one block alive across refills, so the steady state of the
+// pipeline allocates nothing. The
 // columns are allocated once at construction and rows are written by
 // index — push_* never reallocates.
 //

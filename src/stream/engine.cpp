@@ -31,18 +31,36 @@ StreamEngine::StreamEngine(std::unique_ptr<SamplerCursor> cursor,
   }
 }
 
+// With instrumentation attached, the same calls in the same order with
+// the same arguments — plus clock reads and metric stores between them.
+// Telemetry observes; it never participates.
 std::uint64_t StreamEngine::pump(std::uint64_t max_events) {
-  if (instr_ != nullptr) return pump_instrumented(max_events);
+  CrawlInstrumentation* const instr = instr_;
+  const auto now = [instr] {
+    return instr != nullptr ? Clock::now() : Clock::time_point{};
+  };
+  const auto pump_start = now();
   std::uint64_t taken = 0;
   while (taken < max_events) {
     const std::size_t want = static_cast<std::size_t>(
         std::min<std::uint64_t>(max_events - taken, block_.capacity()));
+    const auto batch_start = now();
     const std::size_t got = cursor_->next_batch(block_, want);
     if (got == 0) break;
-    for (const auto& sink : sinks_) sink->ingest_block(block_);
+    if (instr != nullptr) {
+      instr->on_block(block_, *cursor_, ns_between(batch_start, now()));
+    }
+    for (std::size_t i = 0; i < sinks_.size(); ++i) {
+      const auto ingest_start = now();
+      sinks_[i]->ingest_block(block_);
+      if (instr != nullptr) {
+        instr->on_sink_ingest(i, ns_between(ingest_start, now()));
+      }
+    }
     taken += got;
   }
   events_ += taken;
+  if (instr != nullptr) instr->on_pump(ns_between(pump_start, now()));
   return taken;
 }
 
@@ -52,31 +70,6 @@ std::uint64_t StreamEngine::run_to_completion() {
     total += pump(std::numeric_limits<std::uint64_t>::max());
   }
   return total;
-}
-
-// Same calls, same order, same arguments as pump() — plus clock reads and
-// metric stores between them. Telemetry observes; it never participates.
-std::uint64_t StreamEngine::pump_instrumented(std::uint64_t max_events) {
-  const auto pump_start = Clock::now();
-  std::uint64_t taken = 0;
-  while (taken < max_events) {
-    const std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(max_events - taken, block_.capacity()));
-    const auto batch_start = Clock::now();
-    const std::size_t got = cursor_->next_batch(block_, want);
-    const auto batch_end = Clock::now();
-    if (got == 0) break;
-    instr_->on_block(block_, *cursor_, ns_between(batch_start, batch_end));
-    for (std::size_t i = 0; i < sinks_.size(); ++i) {
-      const auto ingest_start = Clock::now();
-      sinks_[i]->ingest_block(block_);
-      instr_->on_sink_ingest(i, ns_between(ingest_start, Clock::now()));
-    }
-    taken += got;
-  }
-  events_ += taken;
-  instr_->on_pump(ns_between(pump_start, Clock::now()));
-  return taken;
 }
 
 void StreamEngine::save_checkpoint(std::ostream& os) const {

@@ -73,8 +73,6 @@ class StreamEngine {
   }
 
  private:
-  std::uint64_t pump_instrumented(std::uint64_t max_events);
-
   std::unique_ptr<SamplerCursor> cursor_;
   SinkSet sinks_;
   StreamEventBlock block_;

@@ -19,14 +19,17 @@ constexpr std::uint8_t kHasEdge = StreamEventBlock::kHasEdge;
 constexpr std::uint8_t kHasVertex = StreamEventBlock::kHasVertex;
 
 // Writes `count` rows, row i by push(block, i), into blocks of up to
-// default_block_capacity() rows and ingests each as it fills.
+// default_block_capacity() rows and ingests each as it fills. The block
+// is allocated once per thread and reused by every call on it; clear()
+// before each fill also resets its codegree memo, so a reuse on another
+// graph, or at the address of a freed one, recomputes the column.
 template <typename Push>
 void ingest_rows(EstimatorSink& sink, std::size_t count, Push push) {
   if (count == 0) return;
-  StreamEventBlock block(std::min(count, default_block_capacity()));
+  thread_local StreamEventBlock block(default_block_capacity());
   for (std::size_t i = 0; i < count;) {
     block.clear();
-    const std::size_t end = std::min(count, i + block.capacity());
+    const std::size_t end = std::min(count, i + block.room());
     for (; i < end; ++i) push(block, i);
     sink.ingest_block(block);
   }

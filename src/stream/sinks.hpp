@@ -197,8 +197,10 @@ class UniformDegreeSink final : public EstimatorSink {
 using SinkSet = std::vector<std::unique_ptr<EstimatorSink>>;
 
 /// Folds a materialized edge sample through `sink`, in order: cuts it into
-/// blocks of min(|edges|, default_block_capacity()) rows, each row an
-/// edge carrying deg(v) in `g` as the ingest_block contract requires.
+/// blocks of default_block_capacity() rows (the last one shorter), each
+/// row an edge carrying deg(v) in `g` as the ingest_block contract
+/// requires. The rows go through one block per thread, reused across
+/// calls, so a call allocates nothing after the thread's first.
 void ingest_sample(EstimatorSink& sink, const Graph& g,
                    std::span<const Edge> edges);
 

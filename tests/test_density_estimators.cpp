@@ -64,16 +64,6 @@ TEST(VertexLabelDensity, ConvergesOnRandomWalkSamples) {
   EXPECT_NEAR(est, truth, 0.02);
 }
 
-TEST(VertexLabelDensityUniform, PlainEmpiricalFraction) {
-  const std::vector<VertexId> samples{0, 1, 2, 3, 4, 5};
-  const double est = estimate_vertex_label_density_uniform(
-      samples, [](VertexId v) { return v < 3; });
-  EXPECT_DOUBLE_EQ(est, 0.5);
-  EXPECT_DOUBLE_EQ(estimate_vertex_label_density_uniform(
-                       {}, [](VertexId) { return true; }),
-                   0.0);
-}
-
 TEST(EdgeLabelDensity, CountsOverLabeledSubsequence) {
   // Labeled = edges out of even vertices; label present = target is odd.
   const Graph g = cycle_graph(4);

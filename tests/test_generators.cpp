@@ -92,19 +92,6 @@ TEST(ErdosRenyiGnp, ProbabilityOneGivesCompleteGraph) {
   EXPECT_EQ(g.num_undirected_edges(), 30u * 29u / 2u);
 }
 
-TEST(ErdosRenyiGnm, ExactEdgeCount) {
-  Rng rng(11);
-  const Graph g = erdos_renyi_gnm(100, 250, rng);
-  EXPECT_EQ(g.num_undirected_edges(), 250u);
-}
-
-TEST(ErdosRenyiGnm, FullAndEmptyBoundaries) {
-  Rng rng(12);
-  EXPECT_EQ(erdos_renyi_gnm(10, 45, rng).num_undirected_edges(), 45u);
-  EXPECT_EQ(erdos_renyi_gnm(10, 0, rng).num_undirected_edges(), 0u);
-  EXPECT_THROW((void)erdos_renyi_gnm(10, 46, rng), std::invalid_argument);
-}
-
 TEST(ConfigurationModel, RespectsDegreeSumApproximately) {
   Rng rng(13);
   std::vector<std::uint32_t> degrees(1000, 3);

@@ -46,15 +46,6 @@ TEST(PrintCurves, EmitsXAndSeriesColumns) {
   EXPECT_NE(out.find("0.5"), std::string::npos);  // x=5 of series fs
 }
 
-TEST(WriteCurvesCsv, CommaSeparated) {
-  std::ostringstream os;
-  const std::vector<std::uint32_t> xs{1, 2};
-  const std::vector<std::string> names{"a"};
-  const std::vector<std::vector<double>> series{{0.0, 0.25, 0.75}};
-  write_curves_csv(os, "x", xs, names, series);
-  EXPECT_EQ(os.str(), "x,a\n1,0.25\n2,0.75\n");
-}
-
 TEST(PrintBanner, ContainsTitle) {
   std::ostringstream os;
   print_banner(os, "Figure 5");

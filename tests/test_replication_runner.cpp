@@ -9,6 +9,8 @@
 
 #include <mutex>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/frontier.hpp"
@@ -24,17 +26,29 @@ TEST(ReplicationRunner, WorkersCappedAtRunCount) {
   EXPECT_EQ(ReplicationRunner(0, 1, 8).workers(), 1u);
 }
 
-TEST(ReplicationRunner, MapReturnsRunOrderResults) {
+/// Gathers body's results through map_reduce, in the order fold sees them.
+template <typename Body>
+auto collect(const ReplicationRunner& runner, const Body& body) {
+  using R = std::decay_t<decltype(body(std::size_t{}, std::declval<Rng&>()))>;
+  return runner.map_reduce(
+      std::vector<R>{}, body,
+      [](std::vector<R>& acc, R&& x) { acc.push_back(std::move(x)); });
+}
+
+TEST(ReplicationRunner, MapReduceFoldsRunOrderResults) {
+  // 600 runs span three reduce chunks.
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    const ReplicationRunner runner(37, 99, threads);
-    const std::vector<double> draws =
-        runner.map([](std::size_t, Rng& rng) { return uniform01(rng); });
-    ASSERT_EQ(draws.size(), 37u);
+    const ReplicationRunner runner(600, 99, threads);
+    const auto results = collect(runner, [](std::size_t r, Rng& rng) {
+      return std::pair<std::size_t, double>(r, uniform01(rng));
+    });
+    ASSERT_EQ(results.size(), 600u);
     // Same per-run substream derivation as a 1-thread runner.
     const Rng base(99);
-    for (std::size_t r = 0; r < draws.size(); ++r) {
+    for (std::size_t r = 0; r < results.size(); ++r) {
+      EXPECT_EQ(results[r].first, r);
       Rng expected = base.split_stream(r);
-      EXPECT_EQ(draws[r], uniform01(expected)) << "run " << r;
+      EXPECT_EQ(results[r].second, uniform01(expected)) << "run " << r;
     }
   }
 }
@@ -56,36 +70,46 @@ TEST(ReplicationRunner, MapReduceBitIdenticalAcrossThreadCounts) {
 
 TEST(ReplicationRunner, ZeroRunsReturnsInit) {
   const ReplicationRunner runner(0, 1, 4);
-  EXPECT_EQ(runner.map([](std::size_t, Rng&) { return 1; }).size(), 0u);
-  EXPECT_EQ(runner.map_reduce(42, [](std::size_t, Rng&) { return 1; },
-                              [](int& acc, int&& x) { acc += x; }),
+  bool ran = false;
+  EXPECT_EQ(runner.map_reduce(
+                42,
+                [&ran](std::size_t, Rng&) {
+                  ran = true;
+                  return 1;
+                },
+                [](int& acc, int&& x) { acc += x; }),
             42);
+  EXPECT_FALSE(ran);
 }
 
 TEST(ReplicationRunner, ExceptionsPropagate) {
   for (const std::size_t threads : {1u, 4u}) {
     const ReplicationRunner runner(64, 3, threads);
-    EXPECT_THROW(runner.for_each([](std::size_t r, Rng&) {
-                   if (r == 13) throw std::runtime_error("boom");
-                 }),
+    EXPECT_THROW((void)runner.map_reduce(
+                     0,
+                     [](std::size_t r, Rng&) {
+                       if (r == 13) throw std::runtime_error("boom");
+                       return 0;
+                     },
+                     [](int&, int&&) {}),
                  std::runtime_error);
   }
 }
 
-TEST(ReplicationRunner, ForEachRunsEveryIndexOnceOnItsOwnStream) {
-  // for_each keeps no results, so the body records them itself: every run
-  // index exactly once, each drawing from split_stream(run).
+TEST(ReplicationRunner, RunsEveryIndexOnceOnItsOwnStream) {
+  // The body counts its own invocations: every run index exactly once,
+  // each drawing from split_stream(run).
   const Rng base(7);
   for (const std::size_t threads : {1u, 4u, 6u}) {
     std::mutex mu;
     std::vector<int> visits(100, 0);
-    std::vector<double> draws(100, 0.0);
-    ReplicationRunner(100, 7, threads).for_each([&](std::size_t r, Rng& rng) {
-      const double value = uniform01(rng);
+    const ReplicationRunner runner(100, 7, threads);
+    const auto draws = collect(runner, [&](std::size_t r, Rng& rng) {
       const std::lock_guard<std::mutex> lock(mu);
       ++visits[r];
-      draws[r] = value;
+      return uniform01(rng);
     });
+    ASSERT_EQ(draws.size(), 100u);
     for (std::size_t r = 0; r < visits.size(); ++r) {
       EXPECT_EQ(visits[r], 1) << "run " << r << ", threads " << threads;
       Rng expected = base.split_stream(r);
@@ -99,8 +123,8 @@ template <typename Sampler>
 std::vector<std::vector<Edge>> replicate_edges(const Sampler& sampler,
                                                std::size_t threads) {
   const ReplicationRunner runner(12, 20100907, threads);
-  return runner.map(
-      [&](std::size_t, Rng& rng) { return sampler.run(rng).edges; });
+  return collect(runner,
+                 [&](std::size_t, Rng& rng) { return sampler.run(rng).edges; });
 }
 
 template <typename Sampler>

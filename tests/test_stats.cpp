@@ -166,7 +166,6 @@ TEST(AnalyticModels, CrossoverAtMeanDegree) {
   // Below the mean degree: vertex sampling wins.
   EXPECT_GT(analytic_nmse_edge_sampling(theta, d / 3.0, d, budget),
             analytic_nmse_vertex_sampling(theta, budget));
-  EXPECT_DOUBLE_EQ(analytic_crossover_degree(d), d);
 }
 
 TEST(AnalyticModels, ValidateInputs) {

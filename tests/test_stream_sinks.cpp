@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
+#include "estimators/clustering.hpp"
 #include "estimators/degree_distribution.hpp"
 #include "estimators/density.hpp"
 #include "estimators/graph_moments.hpp"
@@ -240,6 +244,53 @@ TEST(StreamSinks, EngineFeedsAllSinksAndCountsEvents) {
             dd.distribution());
   EXPECT_EQ(estimate_average_degree(g, rec.edges), gm.average_degree());
   EXPECT_EQ(engine.cursor().cost(), rec.cost);
+}
+
+TEST(StreamSinks, IngestSampleReusedBlockMatchesFreshThread) {
+  // ingest_sample keeps one block per thread. A, then B, then A again on
+  // one thread must equal a fresh thread's results bit for bit. The graph
+  // sits in one slot, so A and B share an address: the block's codegree
+  // memo cannot tell them apart by pointer, only clear() resets it. The
+  // samples span several blocks, the last one partial.
+  Rng rng_b(17);
+  const Graph a = test_graph();
+  const Graph b = barabasi_albert(300, 4, rng_b);
+  const SampleRecord rec_a = fs_record(a, 8, 10000);
+  const SampleRecord rec_b = fs_record(b, 9, 9000);
+
+  struct Result {
+    double clustering = 0.0;
+    std::vector<double> degrees;
+  };
+  const auto estimate = [](const Graph& g, const SampleRecord& rec) {
+    return Result{estimate_global_clustering(g, rec.edges),
+                  estimate_degree_distribution(g, rec.edges,
+                                               DegreeKind::kSymmetric)};
+  };
+  const auto on_fresh_thread = [&](const Graph& g, const SampleRecord& rec) {
+    Result result;
+    std::thread([&] { result = estimate(g, rec); }).join();
+    return result;
+  };
+  const Result fresh_a = on_fresh_thread(a, rec_a);
+  const Result fresh_b = on_fresh_thread(b, rec_b);
+
+  std::vector<Result> reused;
+  std::thread([&] {
+    std::optional<Graph> slot(a);
+    reused.push_back(estimate(*slot, rec_a));
+    slot.emplace(b);
+    reused.push_back(estimate(*slot, rec_b));
+    slot.emplace(a);
+    reused.push_back(estimate(*slot, rec_a));
+  }).join();
+
+  ASSERT_EQ(reused.size(), 3u);
+  const Result* expected[] = {&fresh_a, &fresh_b, &fresh_a};
+  for (std::size_t i = 0; i < reused.size(); ++i) {
+    EXPECT_EQ(reused[i].clustering, expected[i]->clustering) << "call " << i;
+    EXPECT_EQ(reused[i].degrees, expected[i]->degrees) << "call " << i;
+  }
 }
 
 }  // namespace
