@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -42,14 +43,16 @@ class ReplicationRunner {
   /// Runs body(run_index, rng[, arena]) -> R for every run and applies
   /// fold(acc, std::move(result_r)) for r = 0, 1, ..., runs-1 regardless
   /// of how the runs were scheduled, so the reduction is bit-identical for
-  /// any thread count. The 3-argument body receives its worker's
-  /// SampleArena, constructed once per worker and reused across every run
-  /// that worker executes, so a body that drains samplers through
-  /// run_into() allocates nothing after its first run. The arena carries
-  /// *scratch*, never results: runs scheduled onto the same worker must
-  /// not communicate through it. Runs are processed in fixed-size chunks
-  /// (kReduceChunk — a constant, so the fold order never depends on the
-  /// thread count) and each chunk's slots are released after folding:
+  /// any thread count. The 3-argument body receives its worker slot's
+  /// SampleArena: one arena per worker slot, built once per call and
+  /// handed to slot w in every chunk, so a body that drains samplers
+  /// through run_into() allocates nothing after its first run. The arena
+  /// carries *scratch*, never results: runs scheduled onto the same slot
+  /// must not communicate through it. Runs are processed in fixed-size
+  /// chunks (kReduceChunk — a constant, so the fold order never depends
+  /// on the thread count), each on a fresh parallel_for_ranges pool, so
+  /// thread_local state (ingest_sample's event block) lives for one
+  /// chunk's pool thread. Each chunk's slots are released after folding:
   /// transient memory is O(chunk * result), not O(runs * result).
   template <typename Acc, typename Body, typename Fold>
   [[nodiscard]] Acc map_reduce(Acc init, const Body& body,
@@ -57,9 +60,10 @@ class ReplicationRunner {
     using R = body_result_t<Body>;
     Acc acc = std::move(init);
     std::vector<std::optional<R>> slots(std::min(runs_, kReduceChunk));
+    std::vector<SampleArena> arenas(workers_);
     for (std::size_t base = 0; base < runs_; base += kReduceChunk) {
       const std::size_t count = std::min(kReduceChunk, runs_ - base);
-      dispatch_range(base, base + count,
+      dispatch_range(base, base + count, arenas,
                      [&](std::size_t r, Rng& rng, SampleArena& arena) {
                        slots[r - base].emplace(
                            invoke_body(body, r, rng, arena));
@@ -95,13 +99,13 @@ class ReplicationRunner {
       std::declval<const Body&>(), std::size_t{}, std::declval<Rng&>(),
       std::declval<SampleArena&>()))>;
 
-  /// Runs [begin, end): workers claim run indices from a shared atomic
-  /// counter and invoke per_run with that run's derived generator and the
-  /// worker's own SampleArena (constructed on the worker's thread, reused
-  /// across its runs). An exception thrown by any run is rethrown here
-  /// (the lowest worker's wins) after the pool drains.
+  /// Runs [begin, end) on parallel_for_ranges: workers claim run indices
+  /// from a shared atomic counter and invoke per_run with that run's
+  /// derived generator and arenas[worker slot]. An exception thrown by
+  /// any run stops further claims and is rethrown here (the lowest
+  /// worker's wins) after the pool drains.
   void dispatch_range(
-      std::size_t begin, std::size_t end,
+      std::size_t begin, std::size_t end, std::span<SampleArena> arenas,
       const std::function<void(std::size_t, Rng&, SampleArena&)>& per_run)
       const;
 

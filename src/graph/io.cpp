@@ -460,12 +460,10 @@ Graph map_v2_file(MmapFile file, const std::string& path) {
 void note_graph_load(const char* mode, std::chrono::steady_clock::time_point
                      start, std::uint64_t bytes) {
   if (!metrics_enabled()) return;
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      std::chrono::steady_clock::now() - start).count();
+  const std::uint64_t ns = elapsed_ns(start);
   MetricsRegistry& reg = MetricsRegistry::global();
   reg.counter(std::string("graph.load.") + mode + "_total").add(1);
-  reg.histogram("graph.load_ns").observe(
-      ns < 0 ? 0 : static_cast<std::uint64_t>(ns));
+  reg.histogram("graph.load_ns").observe(ns);
   reg.histogram("graph.load_bytes").observe(bytes);
   reg.gauge("graph.peak_rss_bytes")
       .set(static_cast<double>(process_usage().peak_rss_bytes));

@@ -136,6 +136,15 @@ class Histogram {
   std::uint32_t cell_ = 0;
 };
 
+/// Steady-clock nanoseconds since `start`, clamped at 0.
+[[nodiscard]] inline std::uint64_t elapsed_ns(
+    std::chrono::steady_clock::time_point start) noexcept {
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  return ns < 0 ? 0 : static_cast<std::uint64_t>(ns);
+}
+
 /// RAII timer: records the scope's wall duration in nanoseconds into a
 /// histogram at destruction. Inert (no clock calls) when the histogram is.
 class ScopeTimer {
@@ -144,11 +153,7 @@ class ScopeTimer {
     if (h_.active()) start_ = std::chrono::steady_clock::now();
   }
   ~ScopeTimer() {
-    if (h_.active()) {
-      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start_);
-      h_.observe(ns.count() < 0 ? 0 : static_cast<std::uint64_t>(ns.count()));
-    }
+    if (h_.active()) h_.observe(elapsed_ns(start_));
   }
   ScopeTimer(const ScopeTimer&) = delete;
   ScopeTimer& operator=(const ScopeTimer&) = delete;

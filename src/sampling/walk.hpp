@@ -27,10 +27,10 @@ struct SampleRecord {
 
 /// Reusable per-run scratch: the sample record a run fills and the event
 /// block the drain refills from the sampler's cursor. One arena per
-/// worker thread (experiments/replication_runner.hpp hands each worker
-/// one) makes the replication hot loop allocation-free after the first
-/// run — reset() keeps vector capacity, and the block's columns are
-/// allocated once at construction.
+/// worker slot (experiments/replication_runner.hpp hands each slot one
+/// for a whole map_reduce call) makes the replication hot loop
+/// allocation-free after the first run — reset() keeps vector
+/// capacity, and the block's columns are allocated once at construction.
 struct SampleArena {
   SampleRecord record;
   StreamEventBlock block;

@@ -11,11 +11,10 @@
 // reference for next_batch().
 //
 // Blocks are caller-owned and reusable: StreamEngine, drain_cursor, the
-// per-worker replication arenas and ingest_sample (one per thread) each
-// keep one block alive across refills, so the steady state of the
-// pipeline allocates nothing. The
-// columns are allocated once at construction and rows are written by
-// index — push_* never reallocates.
+// replication arenas (one per worker slot) and ingest_sample (one per
+// thread) each keep one block alive across refills, so the steady state
+// of the pipeline allocates nothing. The columns are allocated once at
+// construction and rows are written by index — push_* never reallocates.
 //
 // The degree column carries deg(v) *in the cursor's graph*. Every
 // reweighting sink needs that value anyway (the 1/deg importance weight

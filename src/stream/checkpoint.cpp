@@ -141,29 +141,31 @@ std::string check_trailer(std::string&& blob) {
 
 }  // namespace
 
-void StreamCheckpoint::save(
+std::uint64_t StreamCheckpoint::save(
     std::ostream& os, const SamplerCursor& cursor,
     std::span<const std::unique_ptr<EstimatorSink>> sinks,
     std::uint64_t events) {
   const std::string blob = serialize(cursor, sinks, events);
   os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
   if (!os) throw IoError("StreamCheckpoint::save: stream failure");
+  return blob.size();
 }
 
-std::uint64_t StreamCheckpoint::load(
+StreamCheckpoint::Loaded StreamCheckpoint::load(
     std::istream& is, SamplerCursor& cursor,
     std::span<const std::unique_ptr<EstimatorSink>> sinks) {
-  // Drain the stream through its buffer (leaves tellg() at the end
-  // without tripping eofbit — the engine's byte accounting reads it).
+  // Drain the stream through its buffer (no seeking, so pipes and other
+  // non-seekable streams load too); the drained size is the image size.
   std::ostringstream oss(std::ios_base::out | std::ios_base::binary);
   oss << is.rdbuf();
-  std::string body = check_trailer(std::move(oss).str());
-  std::istringstream body_is(std::move(body),
+  std::string image = std::move(oss).str();
+  const std::uint64_t bytes = image.size();
+  std::istringstream body_is(check_trailer(std::move(image)),
                              std::ios_base::in | std::ios_base::binary);
-  return load_body(body_is, cursor, sinks);
+  return {load_body(body_is, cursor, sinks), bytes};
 }
 
-void StreamCheckpoint::save_file(
+std::uint64_t StreamCheckpoint::save_file(
     const std::string& path, const SamplerCursor& cursor,
     std::span<const std::unique_ptr<EstimatorSink>> sinks,
     std::uint64_t events) {
@@ -171,10 +173,12 @@ void StreamCheckpoint::save_file(
   // Durable replace (tmp + fsync + rename + parent fsync): a crash at
   // any moment leaves either the previous good checkpoint or the new
   // one — surviving crashes is the whole point of the file.
-  durable_write_file(path, serialize(cursor, sinks, events));
+  const std::string blob = serialize(cursor, sinks, events);
+  durable_write_file(path, blob);
+  return blob.size();
 }
 
-std::uint64_t StreamCheckpoint::load_file(
+StreamCheckpoint::Loaded StreamCheckpoint::load_file(
     const std::string& path, SamplerCursor& cursor,
     std::span<const std::unique_ptr<EstimatorSink>> sinks) {
   FRONTIER_FAILPOINT("checkpoint.load");

@@ -23,22 +23,32 @@
 namespace frontier {
 
 struct StreamCheckpoint {
-  /// Serializes cursor + sinks + the engine's event counter.
-  static void save(std::ostream& os, const SamplerCursor& cursor,
-                   std::span<const std::unique_ptr<EstimatorSink>> sinks,
-                   std::uint64_t events);
+  /// What load() restored: the saved event counter, and the size of the
+  /// image read.
+  struct Loaded {
+    std::uint64_t events = 0;
+    std::uint64_t bytes = 0;
+  };
 
-  /// Restores into pre-constructed cursor/sinks of matching kind/names and
-  /// returns the saved event counter. Throws IoError on any mismatch.
-  [[nodiscard]] static std::uint64_t load(
+  /// Serializes cursor + sinks + the engine's event counter and returns
+  /// the size of the image written.
+  static std::uint64_t save(
+      std::ostream& os, const SamplerCursor& cursor,
+      std::span<const std::unique_ptr<EstimatorSink>> sinks,
+      std::uint64_t events);
+
+  /// Restores into pre-constructed cursor/sinks of matching kind/names.
+  /// Reads `is` to its end. Throws IoError on any mismatch.
+  [[nodiscard]] static Loaded load(
       std::istream& is, SamplerCursor& cursor,
       std::span<const std::unique_ptr<EstimatorSink>> sinks);
 
-  static void save_file(const std::string& path, const SamplerCursor& cursor,
-                        std::span<const std::unique_ptr<EstimatorSink>> sinks,
-                        std::uint64_t events);
+  static std::uint64_t save_file(
+      const std::string& path, const SamplerCursor& cursor,
+      std::span<const std::unique_ptr<EstimatorSink>> sinks,
+      std::uint64_t events);
 
-  [[nodiscard]] static std::uint64_t load_file(
+  [[nodiscard]] static Loaded load_file(
       const std::string& path, SamplerCursor& cursor,
       std::span<const std::unique_ptr<EstimatorSink>> sinks);
 };

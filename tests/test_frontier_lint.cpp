@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "lint_rules.hpp"
 
@@ -177,6 +178,45 @@ TEST(DurableRule, HelperItselfAndWaiversAndOtherTreesPass) {
 }
 
 // ---------------------------------------------------------------------------
+// single-thread-pool
+
+TEST(ThreadPoolRule, FlagsThreadJthreadAndAsyncOutsideParallelHpp) {
+  const auto diags = check("src/experiments/x.cpp",
+                           "std::vector<std::thread> pool;\n"
+                           "std::jthread t([] {});\n"
+                           "auto f = std::async(std::launch::async, g);\n"
+                           "pool.emplace_back(std::thread(g));\n");
+  ASSERT_EQ(diags.size(), 4u);
+  for (std::size_t i = 0; i < diags.size(); ++i) {
+    EXPECT_EQ(diags[i].rule, "single-thread-pool");
+    EXPECT_EQ(diags[i].line, i + 1);
+  }
+}
+
+TEST(ThreadPoolRule, NestedNamesParallelHppAndOtherTreesPass) {
+  // Naming a thread's id or asking for the core count starts nothing.
+  EXPECT_TRUE(check("src/x.cpp",
+                    "const unsigned hw = std::thread::hardware_concurrency();\n"
+                    "std::thread::id self = std::this_thread::get_id();\n"
+                    "std::jthread::id other;\n"
+                    "int my_std_thread_count = 0;\n")
+                  .empty());
+  // The one pool lives in core/parallel.hpp.
+  EXPECT_TRUE(
+      check("src/core/parallel.hpp",
+            "#pragma once\nstd::vector<std::thread> pool;\n")
+          .empty());
+  // Tests, tools and benches start threads freely.
+  EXPECT_TRUE(check("tests/t.cpp", "std::thread t(f);\n").empty());
+  EXPECT_TRUE(check("tools/x.cpp", "std::thread t(f);\n").empty());
+  // A waiver with a rationale silences the finding.
+  EXPECT_TRUE(check("src/x.cpp",
+                    "std::thread t(f);  // lint:allow(single-thread-pool): "
+                    "a watchdog, not a worker pool\n")
+                  .empty());
+}
+
+// ---------------------------------------------------------------------------
 // pragma-once and bench-session
 
 TEST(PragmaOnce, MissingGuardFlagsLineOne) {
@@ -213,19 +253,24 @@ TEST(LintTree, FailTreeTripsEveryRuleWithFileAndLine) {
   const lint::LintResult r =
       lint::lint_tree(std::string(LINT_FIXTURE_DIR) + "/fail_tree");
   EXPECT_TRUE(r.unreadable.empty());
-  EXPECT_EQ(r.files_checked, 6u);
+  EXPECT_EQ(r.files_checked, 7u);
   for (const char* rule :
        {"determinism-no-wall-clock", "no-stdout-in-library", "pragma-once",
         "bench-session", "suppression-rationale",
-        "durable-file-replacement"}) {
+        "durable-file-replacement", "single-thread-pool"}) {
     EXPECT_TRUE(has_rule(r.diagnostics, rule)) << "rule not tripped: " << rule;
   }
   // Exact anchors: the fixtures pin their violations to known lines.
   bool saw_rand = false;
+  std::vector<std::size_t> thread_lines;
   for (const auto& d : r.diagnostics) {
     EXPECT_GT(d.line, 0u);
     EXPECT_NE(d.file.find('/'), std::string::npos) << d.file;
     if (d.file == "src/bad_clock.cpp" && d.line == 15) saw_rand = true;
+    if (d.file == "src/bad_thread.cpp") {
+      EXPECT_EQ(d.rule, "single-thread-pool");
+      thread_lines.push_back(d.line);
+    }
     const std::string line = lint::format(d);
     // file:line: [rule] message — editor-clickable.
     EXPECT_NE(line.find(d.file + ":" + std::to_string(d.line) + ": ["),
@@ -233,6 +278,7 @@ TEST(LintTree, FailTreeTripsEveryRuleWithFileAndLine) {
         << line;
   }
   EXPECT_TRUE(saw_rand) << "std::rand on bad_clock.cpp:15 not anchored";
+  EXPECT_EQ(thread_lines, (std::vector<std::size_t>{12, 15}));
 }
 
 // ---------------------------------------------------------------------------

@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <string_view>
 
 #include "graph/generators.hpp"
 #include "obs/exporter.hpp"
@@ -142,6 +146,128 @@ TEST(ObsDeterminism, MetropolisCursor) {
   check_bit_identical(
       g, [&] { return std::make_unique<MetropolisCursor>(g, cfg, Rng(15)); },
       1);
+}
+
+// Checkpoint byte accounting: the engine records the size of the image
+// StreamCheckpoint wrote or read, one observation per call, whether the
+// stream can seek or not.
+
+/// A pipe-like buffer: writes append, reads consume what feed() gave it,
+/// and seeking fails (std::streambuf's default seekoff/seekpos return
+/// -1), so tellp()/tellg() through it read -1.
+class UnseekableBuf : public std::streambuf {
+ public:
+  [[nodiscard]] const std::string& written() const noexcept { return out_; }
+  void feed(std::string bytes) {
+    in_ = std::move(bytes);
+    setg(in_.data(), in_.data(), in_.data() + in_.size());
+  }
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      out_.push_back(traits_type::to_char_type(c));
+    }
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  std::string out_;
+  std::string in_;
+};
+
+/// One save and one load, each by an instrumented engine on `registry`.
+struct RoundTrip {
+  HistogramSnapshot save_bytes;
+  HistogramSnapshot load_bytes;
+  std::string saved;     // the image the first engine wrote
+  std::string restored;  // the second engine's checkpoint after loading
+};
+
+HistogramSnapshot histogram(const MetricsSnapshot& snap,
+                            std::string_view name) {
+  for (const auto& [n, h] : snap.histograms) {
+    if (n == name) return h;
+  }
+  ADD_FAILURE() << "histogram not registered: " << name;
+  return {};
+}
+
+template <typename Save, typename Load>
+RoundTrip checkpoint_round_trip(const Save& save, const Load& load) {
+  const Graph g = test_graph();
+  const FrontierSampler::Config cfg{.dimension = 4, .steps = 3000};
+  const auto engine = [&] {
+    return StreamEngine(std::make_unique<FrontierCursor>(g, cfg, Rng(21)),
+                        make_sinks(g));
+  };
+  StreamEngine saver = engine();
+  StreamEngine loader = engine();
+  MetricsRegistry registry;
+  CrawlInstrumentation save_instr(registry, saver.cursor(), saver.sinks());
+  CrawlInstrumentation load_instr(registry, loader.cursor(), loader.sinks());
+  saver.pump(1234);
+  saver.set_instrumentation(&save_instr);
+  loader.set_instrumentation(&load_instr);
+
+  RoundTrip trip;
+  trip.saved = save(saver);
+  load(loader, trip.saved);
+  const MetricsSnapshot snap = registry.snapshot();
+  trip.save_bytes = histogram(snap, "stream.checkpoint_save_bytes");
+  trip.load_bytes = histogram(snap, "stream.checkpoint_load_bytes");
+  loader.set_instrumentation(nullptr);
+  trip.restored = checkpoint_bytes(loader);
+  return trip;
+}
+
+void expect_one_observation_of(const HistogramSnapshot& h,
+                               std::size_t bytes) {
+  EXPECT_EQ(h.count, 1u);
+  EXPECT_EQ(h.sum, bytes);
+}
+
+TEST(ObsDeterminism, CheckpointBytesOnUnseekableStreams) {
+  const RoundTrip trip = checkpoint_round_trip(
+      [](const StreamEngine& e) {
+        UnseekableBuf buf;
+        std::ostream os(&buf);
+        e.save_checkpoint(os);
+        return buf.written();
+      },
+      [](StreamEngine& e, const std::string& image) {
+        UnseekableBuf buf;
+        buf.feed(image);
+        std::istream is(&buf);
+        e.load_checkpoint(is);
+      });
+  ASSERT_FALSE(trip.saved.empty());
+  EXPECT_EQ(trip.restored, trip.saved);
+  expect_one_observation_of(trip.save_bytes, trip.saved.size());
+  expect_one_observation_of(trip.load_bytes, trip.saved.size());
+}
+
+TEST(ObsDeterminism, CheckpointBytesThroughFiles) {
+  const std::string path = ::testing::TempDir() + "obs_bytes.ckpt";
+  std::uintmax_t file_bytes = 0;
+  const RoundTrip trip = checkpoint_round_trip(
+      [&](const StreamEngine& e) {
+        e.save_checkpoint_file(path);
+        file_bytes = std::filesystem::file_size(path);
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream image;
+        image << in.rdbuf();
+        return image.str();
+      },
+      [&](StreamEngine& e, const std::string&) {
+        e.load_checkpoint_file(path);
+      });
+  std::filesystem::remove(path);
+  ASSERT_GT(file_bytes, 0u);
+  EXPECT_EQ(trip.saved.size(), file_bytes);
+  EXPECT_EQ(trip.restored, trip.saved);
+  expect_one_observation_of(trip.save_bytes, file_bytes);
+  expect_one_observation_of(trip.load_bytes, file_bytes);
 }
 
 // Attaching and detaching instrumentation mid-crawl must also leave the

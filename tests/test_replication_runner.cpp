@@ -9,11 +9,13 @@
 
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/frontier.hpp"
+#include "obs/metrics.hpp"
 
 namespace frontier {
 namespace {
@@ -115,6 +117,73 @@ TEST(ReplicationRunner, RunsEveryIndexOnceOnItsOwnStream) {
       Rng expected = base.split_stream(r);
       EXPECT_EQ(draws[r], uniform01(expected)) << "run " << r;
     }
+  }
+}
+
+/// Sets the process-wide telemetry switch, restoring it when destroyed.
+class MetricsSwitch {
+ public:
+  explicit MetricsSwitch(bool on) { set_metrics_enabled(on); }
+  ~MetricsSwitch() { set_metrics_enabled(was_); }
+  MetricsSwitch(const MetricsSwitch&) = delete;
+  MetricsSwitch& operator=(const MetricsSwitch&) = delete;
+
+ private:
+  bool was_ = metrics_enabled();
+};
+
+/// The named entry of a snapshot's counters/gauges/histograms, or a
+/// default value when the metric is not registered yet.
+template <typename V>
+V lookup(const std::vector<std::pair<std::string, V>>& entries,
+         std::string_view name) {
+  for (const auto& [n, v] : entries) {
+    if (n == name) return v;
+  }
+  return V{};
+}
+
+TEST(ReplicationRunner, PoolTelemetryCountsEveryRunAndChunk) {
+  Rng graph_rng(9);
+  const Graph g = barabasi_albert(200, 3, graph_rng);
+  const FrontierSampler fs(g, {.dimension = 4, .steps = 40});
+  // 600 runs are three reduce chunks: one dispatch each. The body drains
+  // FS through its worker slot's arena.
+  const auto fold_with = [&](std::size_t threads) {
+    return ReplicationRunner(600, 11, threads)
+        .map_reduce(
+            0.0,
+            [&](std::size_t, Rng& rng, SampleArena& arena) {
+              double x = 0.0;
+              for (const Edge& e : fs.run_into(arena, rng).edges) {
+                x = x * 0.5 + e.u + 1e-3 * e.v;
+              }
+              return x;
+            },
+            [](double& acc, double&& x) { acc += x * acc * 1e-9 + x; });
+  };
+  const MetricsSwitch off(false);
+  const double bare = fold_with(4);
+
+  const MetricsSwitch on(true);
+  const MetricsRegistry& reg = MetricsRegistry::global();
+  for (const std::size_t threads : {1u, 4u}) {
+    const MetricsSnapshot before = reg.snapshot();
+    EXPECT_EQ(fold_with(threads), bare) << threads << " threads";
+    const MetricsSnapshot after = reg.snapshot();
+    const auto grew = [&](std::string_view name) {
+      return lookup(after.counters, name) - lookup(before.counters, name);
+    };
+    const auto observed = [&](std::string_view name) {
+      return lookup(after.histograms, name).count -
+             lookup(before.histograms, name).count;
+    };
+    EXPECT_EQ(grew("replication.runs_total"), 600u) << threads << " threads";
+    EXPECT_EQ(observed("replication.run_ns"), 600u) << threads << " threads";
+    EXPECT_EQ(observed("replication.dispatch_ns"), 3u)
+        << threads << " threads";
+    EXPECT_EQ(lookup(after.gauges, "replication.queue_depth"), 0.0)
+        << threads << " threads";
   }
 }
 

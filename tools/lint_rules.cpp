@@ -15,21 +15,26 @@ constexpr std::string_view kSuppressionRule = "suppression-rationale";
   return (std::isalnum(static_cast<unsigned char>(c)) != 0) || c == '_';
 }
 
-/// Word-bounded occurrence of `token` in `line`; when `call_like`, the
-/// token must be followed (after optional spaces) by '(' — so `time(0)`
-/// matches but `time_point` and `wall_time_seconds` never do.
+/// What must follow a word-bounded token for it to count: anything
+/// (kName), '(' after optional spaces (kCall — so `time(0)` matches but
+/// `time_point` and `wall_time_seconds` never do), or anything but '::'
+/// (kType — so `std::thread` matches but `std::thread::id` does not).
+enum class Match : unsigned char { kName, kCall, kType };
+
 [[nodiscard]] bool contains_token(std::string_view line, std::string_view token,
-                                  bool call_like) noexcept {
+                                  Match match) noexcept {
   std::size_t pos = 0;
   while ((pos = line.find(token, pos)) != std::string_view::npos) {
     const bool left_ok = pos == 0 || !ident_char(line[pos - 1]);
     std::size_t after = pos + token.size();
     const bool right_ident = after < line.size() && ident_char(line[after]);
     if (left_ok && !right_ident) {
-      if (!call_like) return true;
+      if (match == Match::kName) return true;
+      if (match == Match::kType && line.substr(after, 2) != "::") return true;
       while (after < line.size() && (line[after] == ' ' || line[after] == '\t'))
         ++after;
-      if (after < line.size() && line[after] == '(') return true;
+      if (match == Match::kCall && after < line.size() && line[after] == '(')
+        return true;
     }
     pos += 1;
   }
@@ -38,7 +43,7 @@ constexpr std::string_view kSuppressionRule = "suppression-rationale";
 
 struct ForbiddenToken {
   std::string_view token;
-  bool call_like;
+  Match match;
   std::string_view hint;  // appended to the diagnostic
 };
 
@@ -48,20 +53,20 @@ struct ForbiddenToken {
 // every duration through std::chrono::steady_clock (monotonic). A crawl
 // replayed from a checkpoint must take the identical path.
 constexpr ForbiddenToken kWallClockTokens[] = {
-    {"rand", true, "use core Rng (seeded, replayable)"},
-    {"srand", true, "use core Rng (seeded, replayable)"},
-    {"rand_r", true, "use core Rng (seeded, replayable)"},
-    {"random_device", false, "use core Rng (seeded, replayable)"},
-    {"time", true, "use steady_clock for durations; no wall time in src/"},
-    {"gettimeofday", true, "use steady_clock; no wall time in src/"},
-    {"clock_gettime", true, "use steady_clock; no wall time in src/"},
-    {"system_clock", false, "use steady_clock; no wall time in src/"},
-    {"high_resolution_clock", false,
+    {"rand", Match::kCall, "use core Rng (seeded, replayable)"},
+    {"srand", Match::kCall, "use core Rng (seeded, replayable)"},
+    {"rand_r", Match::kCall, "use core Rng (seeded, replayable)"},
+    {"random_device", Match::kName, "use core Rng (seeded, replayable)"},
+    {"time", Match::kCall, "use steady_clock for durations; no wall time in src/"},
+    {"gettimeofday", Match::kCall, "use steady_clock; no wall time in src/"},
+    {"clock_gettime", Match::kCall, "use steady_clock; no wall time in src/"},
+    {"system_clock", Match::kName, "use steady_clock; no wall time in src/"},
+    {"high_resolution_clock", Match::kName,
      "alias of system_clock on some platforms; use steady_clock"},
-    {"localtime", true, "no calendar time in src/"},
-    {"gmtime", true, "no calendar time in src/"},
-    {"mt19937", false, "use core Rng, not ad-hoc engines"},
-    {"default_random_engine", false, "use core Rng, not ad-hoc engines"},
+    {"localtime", Match::kCall, "no calendar time in src/"},
+    {"gmtime", Match::kCall, "no calendar time in src/"},
+    {"mt19937", Match::kName, "use core Rng, not ad-hoc engines"},
+    {"default_random_engine", Match::kName, "use core Rng, not ad-hoc engines"},
 };
 
 // --- no-stdout-in-library -------------------------------------------------
@@ -69,12 +74,27 @@ constexpr ForbiddenToken kWallClockTokens[] = {
 // reports through return values, exceptions, ostream parameters, or the
 // obs exporter (whose stderr sink is the explicit `--metrics -` contract).
 constexpr ForbiddenToken kStdoutTokens[] = {
-    {"std::cout", false, "library code takes an ostream& or stays silent"},
-    {"printf", true, "library code takes an ostream& or stays silent"},
-    {"fprintf", true, "library code takes an ostream& or stays silent"},
-    {"puts", true, "library code takes an ostream& or stays silent"},
-    {"fputs", true, "library code takes an ostream& or stays silent"},
-    {"putchar", true, "library code takes an ostream& or stays silent"},
+    {"std::cout", Match::kName, "library code takes an ostream& or stays silent"},
+    {"printf", Match::kCall, "library code takes an ostream& or stays silent"},
+    {"fprintf", Match::kCall, "library code takes an ostream& or stays silent"},
+    {"puts", Match::kCall, "library code takes an ostream& or stays silent"},
+    {"fputs", Match::kCall, "library code takes an ostream& or stays silent"},
+    {"putchar", Match::kCall, "library code takes an ostream& or stays silent"},
+};
+
+// --- single-thread-pool --------------------------------------------------
+// core/parallel.hpp's parallel_for_ranges is the library's one worker
+// pool: it runs inline for one worker and rethrows the lowest worker's
+// exception. Any other std::thread/jthread/async in src/ is a second pool
+// to keep correct. Nested names (std::thread::id, hardware_concurrency)
+// and std::this_thread start no thread and pass.
+constexpr ForbiddenToken kThreadTokens[] = {
+    {"std::thread", Match::kType,
+     "start workers through parallel_for_ranges (core/parallel.hpp)"},
+    {"std::jthread", Match::kType,
+     "start workers through parallel_for_ranges (core/parallel.hpp)"},
+    {"std::async", Match::kName,
+     "start workers through parallel_for_ranges (core/parallel.hpp)"},
 };
 
 // --- durable-file-replacement --------------------------------------------
@@ -85,10 +105,10 @@ constexpr ForbiddenToken kStdoutTokens[] = {
 // in src/ or tools/ is a finding; create-only streams (no reader depends
 // on their atomicity) are waived per line with a rationale.
 constexpr ForbiddenToken kDurableTokens[] = {
-    {"std::rename", true,
+    {"std::rename", Match::kCall,
      "replace files via durable_write_file (core/durable.hpp) so the swap "
      "is fsync'd and atomic"},
-    {"std::ofstream", false,
+    {"std::ofstream", Match::kName,
      "file replacement goes through durable_write_file (core/durable.hpp); "
      "waive genuinely create-only/append streams with a rationale"},
 };
@@ -106,6 +126,9 @@ constexpr ForbiddenToken kDurableTokens[] = {
 }
 [[nodiscard]] bool is_durable_helper(std::string_view p) {
   return starts_with(p, "src/core/durable.");
+}
+[[nodiscard]] bool is_thread_pool(std::string_view p) {
+  return p == "src/core/parallel.hpp";
 }
 [[nodiscard]] bool is_designated_printer(std::string_view p) {
   return starts_with(p, "src/experiments/printers.");
@@ -171,7 +194,7 @@ void run_token_rule(std::string_view rel_path,
   for (std::size_t i = 0; i < scrubbed_lines.size(); ++i) {
     for (std::size_t t = 0; t < num_tokens; ++t) {
       const ForbiddenToken& ft = tokens[t];
-      if (!contains_token(scrubbed_lines[i], ft.token, ft.call_like)) continue;
+      if (!contains_token(scrubbed_lines[i], ft.token, ft.match)) continue;
       const Suppression sup = parse_suppression(raw_lines[i]);
       if (sup.present && sup.rule == rule_name) {
         if (!sup.has_rationale) {
@@ -282,6 +305,9 @@ std::vector<RuleInfo> rules() {
       {"bench-session",
        "every bench/bench_*.cpp routes through bench_common::BenchSession "
        "(--json + result_fingerprint discipline)"},
+      {"single-thread-pool",
+       "only src/core/parallel.hpp constructs std::thread/jthread/async in "
+       "src/; every worker pool runs on parallel_for_ranges"},
       {"durable-file-replacement",
        "src/ and tools/ replace files only via durable_write_file "
        "(core/durable.hpp) — raw std::ofstream/std::rename swaps are "
@@ -326,6 +352,11 @@ std::vector<Diagnostic> check_file(std::string_view rel_path,
         run_token_rule(rel_path, raw_lines, scrubbed_lines,
                        "no-stdout-in-library", kStdoutTokens,
                        std::size(kStdoutTokens), out);
+      }
+      if (!is_thread_pool(rel_path)) {
+        run_token_rule(rel_path, raw_lines, scrubbed_lines,
+                       "single-thread-pool", kThreadTokens,
+                       std::size(kThreadTokens), out);
       }
     }
     // The durable helper itself is the one place the raw idiom lives.

@@ -16,6 +16,11 @@
 //   bench-session              every bench/bench_*.cpp routes through
 //                              bench_common::BenchSession (the --json /
 //                              result_fingerprint discipline CI gates on).
+//   single-thread-pool         src/ starts threads only through
+//                              core/parallel.hpp (parallel_for_ranges):
+//                              no other std::thread, std::jthread or
+//                              std::async. std::thread::id, this_thread
+//                              and hardware_concurrency stay allowed.
 //   durable-file-replacement   src/ and tools/ must not hand-roll file
 //                              replacement (raw std::ofstream or
 //                              std::rename): the durable-write helper
