@@ -69,8 +69,9 @@ int main(int argc, char** argv) {
     // --- FS from the shared starts.
     {
       Rng walk_rng = rng.split_stream(1);
-      const FrontierSampler fs(g, {.dimension = m, .steps = max_steps});
-      const SampleRecord rec = fs.run_from(init, walk_rng);
+      FrontierCursor fs(g, {.dimension = m, .steps = max_steps}, init,
+                        walk_rng);
+      const SampleRecord rec = drain_cursor(fs, max_steps);
       RunningDensity est(g, pred);
       std::vector<double> path(checkpoints.back() + 1, 0.0);
       std::size_t next = 0;

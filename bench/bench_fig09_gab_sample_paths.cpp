@@ -58,10 +58,11 @@ int main(int argc, char** argv) {
     std::vector<VertexId> init(m);
     for (auto& v : init) v = starts.sample(rng);
 
-    {  // FS via the real sampler from the shared starts.
+    {  // FS via its cursor from the shared starts.
       Rng walk_rng = rng.split_stream(1);
-      const FrontierSampler fs(g, {.dimension = m, .steps = max_steps});
-      const SampleRecord rec = fs.run_from(init, walk_rng);
+      FrontierCursor fs(g, {.dimension = m, .steps = max_steps}, init,
+                        walk_rng);
+      const SampleRecord rec = drain_cursor(fs, max_steps);
       std::size_t i = 0;
       record_path("FS#" + std::to_string(run),
                   [&](Rng&) { return rec.edges[i++]; }, walk_rng);

@@ -2,11 +2,13 @@
 //
 // #include "core/frontier.hpp" pulls in the whole library:
 //   * graph substrate (graph/, generators, components, metrics, io),
-//   * samplers (sampling/): SingleRandomWalk, MultipleRandomWalks,
-//     FrontierSampler, ParallelFrontierSampler, MetropolisHastingsWalk,
-//     RandomVertexSampler, RandomEdgeSampler,
-//   * streaming (stream/): SamplerCursor one-step iteration, online
-//     EstimatorSinks, StreamEngine, checkpoint/resume,
+//   * samplers (sampling/): the batch walk samplers SingleRandomWalk,
+//     MultipleRandomWalks, FrontierSampler, MetropolisHastingsWalk and
+//     RandomWalkWithJumps (aliases of WalkSampler<Cursor>), plus
+//     ParallelFrontierSampler, RandomVertexSampler, RandomEdgeSampler,
+//   * streaming (stream/): SamplerCursor one-step iteration — one cursor
+//     type per walk method, owning its Config — online EstimatorSinks,
+//     StreamEngine, checkpoint/resume,
 //   * estimators (estimators/): label densities, degree distributions,
 //     assortativity, global clustering,
 //   * statistics (stats/): NMSE/CNMSE accumulators, analytic error models,

@@ -25,13 +25,15 @@ struct CostModel {
 };
 
 /// Steps each of m independent walkers takes under budget B with jump cost
-/// c: floor(B/m - c), clamped at 0.
+/// c: floor(B/m - c), clamped at 0 (0 when m = 0). Throws
+/// std::invalid_argument for a non-finite B or a NaN or >= 2^64 count.
 [[nodiscard]] std::uint64_t multiple_rw_steps_per_walker(double budget,
                                                          std::size_t m,
                                                          double jump_cost);
 
 /// Steps a Frontier sampler takes under budget B with m walkers and jump
-/// cost c: B - m*c, clamped at 0 (Algorithm 1 line 8).
+/// cost c: B - m*c, clamped at 0 (Algorithm 1 line 8). Throws
+/// std::invalid_argument for a non-finite B or a NaN or >= 2^64 count.
 [[nodiscard]] std::uint64_t frontier_steps(double budget, std::size_t m,
                                            double jump_cost);
 

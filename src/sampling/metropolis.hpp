@@ -8,44 +8,14 @@
 // showing MH-RW is usually less accurate than the reweighted plain RW.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-
-#include "graph/graph.hpp"
-#include "sampling/walk.hpp"
+#include "stream/cursor.hpp"
+#include "stream/sampler_cursors.hpp"
 
 namespace frontier {
 
-class MetropolisHastingsWalk {
- public:
-  struct Config {
-    std::uint64_t steps = 0;
-    StartMode start = StartMode::kUniform;
-    std::optional<VertexId> fixed_start = std::nullopt;
-  };
-
-  MetropolisHastingsWalk(const Graph& g, Config config);
-
-  /// One run; `vertices` holds the visit sequence (steps+1 entries,
-  /// including the start), `edges` the accepted transitions.
-  [[nodiscard]] SampleRecord run(Rng& rng) const;
-
-  /// Like run(), but drains into the caller's reusable arena and returns
-  /// arena.record. Identical output and RNG stream to run().
-  const SampleRecord& run_into(SampleArena& arena, Rng& rng) const;
-
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
-
- private:
-  const Graph* graph_;
-  Config config_;
-  StartSampler start_sampler_;
-};
-
-/// The one check of a MetropolisHastingsWalk::Config, run by the sampler
-/// and by every MetropolisCursor constructor: throws std::out_of_range for
-/// a fixed_start outside V and std::invalid_argument for an isolated one.
-void validate_config(const Graph& g,
-                     const MetropolisHastingsWalk::Config& config);
+/// Batch form of MetropolisCursor (stream/sampler_cursors.hpp). One run
+/// holds the visit sequence in `vertices` (steps+1 entries, including the
+/// start) and the accepted transitions in `edges`.
+using MetropolisHastingsWalk = WalkSampler<MetropolisCursor>;
 
 }  // namespace frontier

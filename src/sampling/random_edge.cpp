@@ -1,5 +1,6 @@
 #include "sampling/random_edge.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace frontier {
@@ -9,11 +10,15 @@ RandomEdgeSampler::RandomEdgeSampler(const Graph& g, Config config)
   if (g.volume() == 0) {
     throw std::invalid_argument("RandomEdgeSampler: graph has no edges");
   }
-  if (config_.hit_ratio <= 0.0 || config_.hit_ratio > 1.0) {
+  if (!(config_.hit_ratio > 0.0 && config_.hit_ratio <= 1.0)) {
     throw std::invalid_argument("RandomEdgeSampler: hit_ratio in (0,1]");
   }
-  if (config_.edge_cost <= 0.0) {
+  if (!(config_.edge_cost > 0.0)) {
     throw std::invalid_argument("RandomEdgeSampler: edge_cost > 0");
+  }
+  // A non-finite budget would let run() sample until memory runs out.
+  if (!std::isfinite(config_.budget)) {
+    throw std::invalid_argument("RandomEdgeSampler: budget must be finite");
   }
 }
 

@@ -1,5 +1,6 @@
 #include "sampling/random_vertex.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace frontier {
@@ -9,11 +10,15 @@ RandomVertexSampler::RandomVertexSampler(const Graph& g, Config config)
   if (g.num_vertices() == 0) {
     throw std::invalid_argument("RandomVertexSampler: empty graph");
   }
-  if (config_.cost.hit_ratio <= 0.0 || config_.cost.hit_ratio > 1.0) {
+  if (!(config_.cost.hit_ratio > 0.0 && config_.cost.hit_ratio <= 1.0)) {
     throw std::invalid_argument("RandomVertexSampler: hit_ratio in (0,1]");
   }
-  if (config_.cost.jump_cost <= 0.0) {
+  if (!(config_.cost.jump_cost > 0.0)) {
     throw std::invalid_argument("RandomVertexSampler: jump_cost > 0");
+  }
+  // A non-finite budget would let run() sample until memory runs out.
+  if (!std::isfinite(config_.budget)) {
+    throw std::invalid_argument("RandomVertexSampler: budget must be finite");
   }
 }
 

@@ -1,6 +1,9 @@
 #include "stream/sampler_cursors.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "stream/serialize.hpp"
 
@@ -42,32 +45,43 @@ void write_optional_vertex(std::ostream& os,
   return has ? std::optional<VertexId>(v) : std::nullopt;
 }
 
+// A caller-owned StartSampler must draw from the method's start law.
+void check_start_sampler(const StartSampler& start_sampler, StartMode mode,
+                         const char* who) {
+  if (start_sampler.mode() != mode) {
+    throw std::invalid_argument(std::string(who) +
+                                ": start sampler has the wrong mode");
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Frontier
 
-FrontierCursor::FrontierCursor(const Graph& g, FrontierSampler::Config config,
-                               Rng rng)
+void FrontierCursor::validate(const Graph& /*g*/, const Config& config) {
+  if (config.dimension == 0) {
+    throw std::invalid_argument("FrontierSampler: dimension m >= 1");
+  }
+}
+
+FrontierCursor::FrontierCursor(const Graph& g, Config config, Rng rng)
     : FrontierCursor(g, config, rng, StartSampler(g, config.start)) {}
 
-FrontierCursor::FrontierCursor(const Graph& g, FrontierSampler::Config config,
-                               Rng rng, const StartSampler& start_sampler)
-    : graph_(&g), config_(config), rng_(rng) {
-  validate_config(config_);
-  if (start_sampler.mode() != config_.start) {
-    throw std::invalid_argument(
-        "FrontierCursor: start sampler mode != config.start");
-  }
+FrontierCursor::FrontierCursor(const Graph& g, Config config, Rng rng,
+                               const StartSampler& start_sampler)
+    : SamplerCursor(g, rng), config_(config) {
+  validate(g, config_);
+  check_start_sampler(start_sampler, config_.start, "FrontierCursor");
   frontier_.resize(config_.dimension);
   for (auto& v : frontier_) v = start_sampler.sample(rng_);
   starts_ = frontier_;
   init_selection();
 }
 
-FrontierCursor::FrontierCursor(const Graph& g, FrontierSampler::Config config,
+FrontierCursor::FrontierCursor(const Graph& g, Config config,
                                std::vector<VertexId> frontier, Rng rng)
-    : graph_(&g), config_(config), frontier_(std::move(frontier)), rng_(rng) {
-  validate_config(config_);
+    : SamplerCursor(g, rng), config_(config), frontier_(std::move(frontier)) {
+  validate(g, config_);
   if (frontier_.size() != config_.dimension) {
     throw std::invalid_argument(
         "FrontierCursor: |frontier| must equal dimension");
@@ -179,18 +193,21 @@ void FrontierCursor::load_state(std::istream& is) {
 
 // ---------------------------------------------------------------- SingleRW
 
-SingleRwCursor::SingleRwCursor(const Graph& g, SingleRandomWalk::Config config,
-                               Rng rng)
+void SingleRwCursor::validate(const Graph& g, const Config& config) {
+  check_fixed_start(g, config.fixed_start, "SingleRandomWalk");
+  if (!(config.laziness >= 0.0 && config.laziness < 1.0)) {
+    throw std::invalid_argument("SingleRandomWalk: laziness in [0, 1)");
+  }
+}
+
+SingleRwCursor::SingleRwCursor(const Graph& g, Config config, Rng rng)
     : SingleRwCursor(g, config, rng, StartSampler(g, config.start)) {}
 
-SingleRwCursor::SingleRwCursor(const Graph& g, SingleRandomWalk::Config config,
-                               Rng rng, const StartSampler& start_sampler)
-    : graph_(&g), config_(config), rng_(rng) {
-  validate_config(g, config_);
-  if (start_sampler.mode() != config_.start) {
-    throw std::invalid_argument(
-        "SingleRwCursor: start sampler mode != config.start");
-  }
+SingleRwCursor::SingleRwCursor(const Graph& g, Config config, Rng rng,
+                               const StartSampler& start_sampler)
+    : SamplerCursor(g, rng), config_(config) {
+  validate(g, config_);
+  check_start_sampler(start_sampler, config_.start, "SingleRwCursor");
   u_ = config_.fixed_start ? *config_.fixed_start : start_sampler.sample(rng_);
   starts_.push_back(u_);
 }
@@ -309,29 +326,26 @@ void SingleRwCursor::load_state(std::istream& is) {
 
 // -------------------------------------------------------------- MultipleRW
 
-MultipleRwCursor::MultipleRwCursor(const Graph& g,
-                                   MultipleRandomWalks::Config config, Rng rng)
-    : graph_(&g),
+void MultipleRwCursor::validate(const Graph& /*g*/, const Config& config) {
+  if (config.num_walkers == 0) {
+    throw std::invalid_argument("MultipleRandomWalks: num_walkers >= 1");
+  }
+}
+
+MultipleRwCursor::MultipleRwCursor(const Graph& g, Config config, Rng rng)
+    : SamplerCursor(g, rng),
       config_(config),
       owned_start_(std::in_place, g, config.start),
-      start_sampler_(&*owned_start_),
-      rng_(rng) {
-  validate_config(config_);
+      start_sampler_(&*owned_start_) {
+  validate(g, config_);
   starts_.reserve(config_.num_walkers);
 }
 
-MultipleRwCursor::MultipleRwCursor(const Graph& g,
-                                   MultipleRandomWalks::Config config, Rng rng,
+MultipleRwCursor::MultipleRwCursor(const Graph& g, Config config, Rng rng,
                                    const StartSampler& start_sampler)
-    : graph_(&g),
-      config_(config),
-      start_sampler_(&start_sampler),
-      rng_(rng) {
-  validate_config(config_);
-  if (start_sampler.mode() != config_.start) {
-    throw std::invalid_argument(
-        "MultipleRwCursor: start sampler mode != config.start");
-  }
+    : SamplerCursor(g, rng), config_(config), start_sampler_(&start_sampler) {
+  validate(g, config_);
+  check_start_sampler(start_sampler, config_.start, "MultipleRwCursor");
   starts_.reserve(config_.num_walkers);
 }
 
@@ -443,30 +457,47 @@ void MultipleRwCursor::load_state(std::istream& is) {
 
 // --------------------------------------------------------------------- RWJ
 
-RwjCursor::RwjCursor(const Graph& g, RandomWalkWithJumps::Config config,
-                     Rng rng)
-    : graph_(&g),
+void RwjCursor::validate(const Graph& /*g*/, const Config& config) {
+  if (!(config.jump_probability >= 0.0 && config.jump_probability <= 1.0)) {
+    throw std::invalid_argument(
+        "RandomWalkWithJumps: jump_probability in [0, 1]");
+  }
+  if (!(config.cost.hit_ratio > 0.0 && config.cost.hit_ratio <= 1.0)) {
+    throw std::invalid_argument("RandomWalkWithJumps: hit_ratio in (0,1]");
+  }
+  // Jumps that cost nothing (or refund budget) and a budget that is not
+  // finite can each keep a run going until memory runs out.
+  if (!(config.cost.jump_cost > 0.0)) {
+    throw std::invalid_argument("RandomWalkWithJumps: jump_cost > 0");
+  }
+  if (!std::isfinite(config.budget)) {
+    throw std::invalid_argument("RandomWalkWithJumps: budget must be finite");
+  }
+}
+
+RecordBounds RwjCursor::record_bounds(const Config& config) noexcept {
+  const auto budget_steps = static_cast<std::uint64_t>(
+      std::clamp(config.budget, 0.0, 4294967296.0));  // 2^32
+  return {.edges = budget_steps, .vertices = budget_steps + 1};
+}
+
+RwjCursor::RwjCursor(const Graph& g, Config config, Rng rng)
+    : SamplerCursor(g, rng),
       config_(config),
-      owned_start_(std::in_place, g, StartMode::kUniform),
-      start_sampler_(&*owned_start_),
-      rng_(rng) {
+      owned_start_(std::in_place, g, start_mode(config)),
+      start_sampler_(&*owned_start_) {
   init();
 }
 
-RwjCursor::RwjCursor(const Graph& g, RandomWalkWithJumps::Config config,
-                     Rng rng, const StartSampler& start_sampler)
-    : graph_(&g),
-      config_(config),
-      start_sampler_(&start_sampler),
-      rng_(rng) {
-  if (start_sampler.mode() != StartMode::kUniform) {
-    throw std::invalid_argument("RwjCursor: start sampler must be kUniform");
-  }
+RwjCursor::RwjCursor(const Graph& g, Config config, Rng rng,
+                     const StartSampler& start_sampler)
+    : SamplerCursor(g, rng), config_(config), start_sampler_(&start_sampler) {
+  check_start_sampler(start_sampler, start_mode(config_), "RwjCursor");
   init();
 }
 
 void RwjCursor::init() {
-  validate_config(config_);
+  validate(*graph_, config_);
   // Initial placement is one paid jump.
   if (!pay_jump()) {
     done_ = true;
@@ -595,20 +626,18 @@ void RwjCursor::load_state(std::istream& is) {
 
 // -------------------------------------------------------------- Metropolis
 
-MetropolisCursor::MetropolisCursor(const Graph& g,
-                                   MetropolisHastingsWalk::Config config,
-                                   Rng rng)
+void MetropolisCursor::validate(const Graph& g, const Config& config) {
+  check_fixed_start(g, config.fixed_start, "MetropolisHastingsWalk");
+}
+
+MetropolisCursor::MetropolisCursor(const Graph& g, Config config, Rng rng)
     : MetropolisCursor(g, config, rng, StartSampler(g, config.start)) {}
 
-MetropolisCursor::MetropolisCursor(const Graph& g,
-                                   MetropolisHastingsWalk::Config config,
-                                   Rng rng, const StartSampler& start_sampler)
-    : graph_(&g), config_(config), rng_(rng) {
-  validate_config(g, config_);
-  if (start_sampler.mode() != config_.start) {
-    throw std::invalid_argument(
-        "MetropolisCursor: start sampler mode != config.start");
-  }
+MetropolisCursor::MetropolisCursor(const Graph& g, Config config, Rng rng,
+                                   const StartSampler& start_sampler)
+    : SamplerCursor(g, rng), config_(config) {
+  validate(g, config_);
+  check_start_sampler(start_sampler, config_.start, "MetropolisCursor");
   v_ = config_.fixed_start ? *config_.fixed_start : start_sampler.sample(rng_);
   starts_.push_back(v_);
   pending_vertex_ = v_;

@@ -56,19 +56,19 @@ std::unique_ptr<SamplerCursor> CrawlSpec::make_cursor(const Graph& g) const {
   if (method == "fs") {
     return std::make_unique<FrontierCursor>(
         g,
-        FrontierSampler::Config{
+        FrontierCursor::Config{
             .dimension = dimension,
             .steps = frontier_steps(budget, dimension, 1.0)},
         rng);
   }
   if (method == "srw") {
     return std::make_unique<SingleRwCursor>(
-        g, SingleRandomWalk::Config{.steps = walk_steps()}, rng);
+        g, SingleRwCursor::Config{.steps = walk_steps()}, rng);
   }
   if (method == "mrw") {
     return std::make_unique<MultipleRwCursor>(
         g,
-        MultipleRandomWalks::Config{
+        MultipleRwCursor::Config{
             .num_walkers = dimension,
             .steps_per_walker =
                 multiple_rw_steps_per_walker(budget, dimension, 1.0)},
@@ -76,11 +76,11 @@ std::unique_ptr<SamplerCursor> CrawlSpec::make_cursor(const Graph& g) const {
   }
   if (method == "mh") {
     return std::make_unique<MetropolisCursor>(
-        g, MetropolisHastingsWalk::Config{.steps = walk_steps()}, rng);
+        g, MetropolisCursor::Config{.steps = walk_steps()}, rng);
   }
   if (method == "rwj") {
     return std::make_unique<RwjCursor>(
-        g, RandomWalkWithJumps::Config{.budget = budget}, rng);
+        g, RwjCursor::Config{.budget = budget}, rng);
   }
   throw std::invalid_argument("unknown method: " + method);
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace frontier {
 namespace {
 
@@ -35,6 +38,31 @@ TEST(FrontierSteps, PaperFormula) {
 
 TEST(FrontierSteps, ClampsAtZero) {
   EXPECT_EQ(frontier_steps(5.0, 100, 1.0), 0u);
+}
+
+// A NaN, infinite or >= 2^64 step count has no uint64_t value; casting
+// one is undefined (in practice NaN gave 2^63 FS steps and +inf gave 0).
+TEST(StepHelpers, RejectNonFiniteAndHugeBudgets) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double budget : {nan, inf, -inf, 1e30, 18446744073709551616.0}) {
+    EXPECT_THROW((void)frontier_steps(budget, 10, 1.0), std::invalid_argument)
+        << budget;
+    EXPECT_THROW((void)multiple_rw_steps_per_walker(budget, 1, 1.0),
+                 std::invalid_argument)
+        << budget;
+  }
+  EXPECT_THROW((void)frontier_steps(1000.0, 10, nan), std::invalid_argument);
+  EXPECT_THROW((void)multiple_rw_steps_per_walker(1000.0, 10, nan),
+               std::invalid_argument);
+  EXPECT_THROW((void)multiple_rw_steps_per_walker(nan, 0, 1.0),
+               std::invalid_argument);
+  // The largest representable count below 2^64 still converts exactly.
+  EXPECT_EQ(frontier_steps(18446744073709549568.0, 0, 1.0),
+            18446744073709549568u);
+  // Negative budgets and infinite jump costs still clamp to zero steps.
+  EXPECT_EQ(frontier_steps(-5.0, 10, 1.0), 0u);
+  EXPECT_EQ(frontier_steps(1000.0, 10, inf), 0u);
 }
 
 TEST(BudgetComparison, FsTakesMoreStepsThanMrwTotal) {

@@ -35,7 +35,7 @@ SinkSet make_sinks(const Graph& g) {
 }
 
 StreamEngine make_engine(const Graph& g, std::uint64_t seed) {
-  const FrontierSampler::Config cfg{.dimension = 3, .steps = 1000};
+  const FrontierCursor::Config cfg{.dimension = 3, .steps = 1000};
   return StreamEngine(std::make_unique<FrontierCursor>(g, cfg, Rng(seed)),
                       make_sinks(g));
 }

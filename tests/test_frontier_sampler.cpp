@@ -10,6 +10,8 @@
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "stream/cursor.hpp"
+#include "stream/sampler_cursors.hpp"
 
 namespace frontier {
 namespace {
@@ -87,19 +89,20 @@ TEST(FrontierSampler, SamplesEdgesUniformlyInLongRun) {
   }
 }
 
-TEST(FrontierSampler, RunFromValidatesStarts) {
+TEST(FrontierSampler, ExplicitFrontierValidatesStarts) {
   Rng rng(8);
   GraphBuilder b(4);
   b.add_undirected_edge(0, 1);
   b.add_undirected_edge(1, 2);  // vertex 3 isolated
   const Graph g = b.build();
-  const FrontierSampler fs(g, {.dimension = 2, .steps = 10});
+  const FrontierSampler::Config cfg{.dimension = 2, .steps = 10};
   const std::vector<VertexId> wrong_size{0};
-  EXPECT_THROW((void)fs.run_from(wrong_size, rng), std::invalid_argument);
+  EXPECT_THROW(FrontierCursor(g, cfg, wrong_size, rng), std::invalid_argument);
   const std::vector<VertexId> isolated{0, 3};
-  EXPECT_THROW((void)fs.run_from(isolated, rng), std::invalid_argument);
+  EXPECT_THROW(FrontierCursor(g, cfg, isolated, rng), std::invalid_argument);
   const std::vector<VertexId> ok{0, 2};
-  const SampleRecord rec = fs.run_from(ok, rng);
+  FrontierCursor fs(g, cfg, ok, rng);
+  const SampleRecord rec = drain_cursor(fs);
   EXPECT_EQ(rec.starts, ok);
   EXPECT_EQ(rec.edges.size(), 10u);
 }

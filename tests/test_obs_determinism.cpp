@@ -106,7 +106,7 @@ void check_bit_identical(const Graph& g, MakeCursor make_cursor,
 
 TEST(ObsDeterminism, FrontierCursor) {
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{.dimension = 6, .steps = 5000};
+  const FrontierCursor::Config cfg{.dimension = 6, .steps = 5000};
   check_bit_identical(
       g, [&] { return std::make_unique<FrontierCursor>(g, cfg, Rng(11)); },
       1234);
@@ -114,7 +114,7 @@ TEST(ObsDeterminism, FrontierCursor) {
 
 TEST(ObsDeterminism, SingleRwCursor) {
   const Graph g = test_graph();
-  const SingleRandomWalk::Config cfg{
+  const SingleRwCursor::Config cfg{
       .steps = 4000, .burn_in = 300, .laziness = 0.2};
   check_bit_identical(
       g, [&] { return std::make_unique<SingleRwCursor>(g, cfg, Rng(12)); },
@@ -123,7 +123,7 @@ TEST(ObsDeterminism, SingleRwCursor) {
 
 TEST(ObsDeterminism, MultipleRwCursor) {
   const Graph g = test_graph();
-  const MultipleRandomWalks::Config cfg{.num_walkers = 5,
+  const MultipleRwCursor::Config cfg{.num_walkers = 5,
                                         .steps_per_walker = 800};
   check_bit_identical(
       g, [&] { return std::make_unique<MultipleRwCursor>(g, cfg, Rng(13)); },
@@ -132,7 +132,7 @@ TEST(ObsDeterminism, MultipleRwCursor) {
 
 TEST(ObsDeterminism, RwjCursor) {
   const Graph g = test_graph();
-  const RandomWalkWithJumps::Config cfg{
+  const RwjCursor::Config cfg{
       .budget = 4000.0,
       .jump_probability = 0.1,
       .cost = {.jump_cost = 1.5, .hit_ratio = 0.8}};
@@ -142,7 +142,7 @@ TEST(ObsDeterminism, RwjCursor) {
 
 TEST(ObsDeterminism, MetropolisCursor) {
   const Graph g = test_graph();
-  const MetropolisHastingsWalk::Config cfg{.steps = 4000};
+  const MetropolisCursor::Config cfg{.steps = 4000};
   check_bit_identical(
       g, [&] { return std::make_unique<MetropolisCursor>(g, cfg, Rng(15)); },
       1);
@@ -196,7 +196,7 @@ HistogramSnapshot histogram(const MetricsSnapshot& snap,
 template <typename Save, typename Load>
 RoundTrip checkpoint_round_trip(const Save& save, const Load& load) {
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{.dimension = 4, .steps = 3000};
+  const FrontierCursor::Config cfg{.dimension = 4, .steps = 3000};
   const auto engine = [&] {
     return StreamEngine(std::make_unique<FrontierCursor>(g, cfg, Rng(21)),
                         make_sinks(g));
@@ -275,7 +275,7 @@ TEST(ObsDeterminism, CheckpointBytesThroughFiles) {
 // the identical cursor/sink calls.
 TEST(ObsDeterminism, AttachDetachMidCrawl) {
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{.dimension = 4, .steps = 3000};
+  const FrontierCursor::Config cfg{.dimension = 4, .steps = 3000};
   const auto cursor = [&] {
     return std::make_unique<FrontierCursor>(g, cfg, Rng(21));
   };

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -22,6 +23,19 @@ TEST(RandomVertexSampler, ValidatesConfig) {
       std::invalid_argument);
   EXPECT_THROW(RandomVertexSampler(Graph{}, {.budget = 10}),
                std::invalid_argument);
+  // NaN slips through `x <= 0 || x > 1`-style checks, and an infinite
+  // budget would make run() sample until memory runs out.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(
+      RandomVertexSampler(g, {.budget = 10, .cost = {.hit_ratio = nan}}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      RandomVertexSampler(g, {.budget = 10, .cost = {.jump_cost = nan}}),
+      std::invalid_argument);
+  EXPECT_THROW(RandomVertexSampler(
+                   g, {.budget = std::numeric_limits<double>::infinity()}),
+               std::invalid_argument);
+  EXPECT_THROW(RandomVertexSampler(g, {.budget = nan}), std::invalid_argument);
 }
 
 TEST(RandomVertexSampler, FullHitRatioSpendsExactly) {
@@ -68,6 +82,15 @@ TEST(RandomEdgeSampler, ValidatesConfig) {
                std::invalid_argument);
   EXPECT_THROW(RandomEdgeSampler(g, {.budget = 10, .edge_cost = 0.0}),
                std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(RandomEdgeSampler(g, {.budget = 10, .hit_ratio = nan}),
+               std::invalid_argument);
+  EXPECT_THROW(RandomEdgeSampler(g, {.budget = 10, .edge_cost = nan}),
+               std::invalid_argument);
+  EXPECT_THROW(RandomEdgeSampler(
+                   g, {.budget = std::numeric_limits<double>::infinity()}),
+               std::invalid_argument);
+  EXPECT_THROW(RandomEdgeSampler(g, {.budget = nan}), std::invalid_argument);
 }
 
 TEST(RandomEdgeSampler, CostTwoPerEdge) {

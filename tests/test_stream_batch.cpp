@@ -370,30 +370,53 @@ TEST(StreamBatch, CheckpointMidBlockAllCursors) {
 // --------------------------------------------------------------- drains
 
 /// drain_cursor_into through arenas of every block capacity produces the
-/// same SampleRecord, and reuses the arena's storage across runs.
-TEST(StreamBatch, DrainArenaReuseAndCapacityIndependence) {
-  const Graph g = test_graph();
-  const FrontierSampler fs(g, {.dimension = 8, .steps = 1000});
-  Rng reference_rng(41);
-  const SampleRecord expected = fs.run(reference_rng);
+/// same SampleRecord, and reuses the arena's storage across runs — for
+/// every walk sampler's run_into.
+template <class Sampler>
+void check_arena_reuse(const Sampler& sampler, std::uint64_t seed) {
+  Rng reference_rng(seed);
+  const SampleRecord expected = sampler.run(reference_rng);
   for (const std::size_t k : kBatchSizes) {
     SampleArena arena{SampleRecord{}, StreamEventBlock(k)};
-    Rng rng(41);
-    const SampleRecord& rec = fs.run_into(arena, rng);
+    Rng rng(seed);
+    const SampleRecord& rec = sampler.run_into(arena, rng);
     EXPECT_EQ(rec.edges, expected.edges) << "K=" << k;
+    EXPECT_EQ(rec.vertices, expected.vertices) << "K=" << k;
     EXPECT_EQ(rec.starts, expected.starts) << "K=" << k;
     EXPECT_EQ(rec.cost, expected.cost) << "K=" << k;
     EXPECT_TRUE(rng == reference_rng) << "K=" << k;
 
     // Second run through the same arena: same result, no capacity growth.
-    const Edge* data_before = rec.edges.data();
-    const std::size_t cap_before = rec.edges.capacity();
-    Rng rng2(41);
-    const SampleRecord& rec2 = fs.run_into(arena, rng2);
-    EXPECT_EQ(rec2.edges, expected.edges);
-    EXPECT_EQ(rec2.edges.capacity(), cap_before);
-    EXPECT_EQ(rec2.edges.data(), data_before);
+    const Edge* edges_before = rec.edges.data();
+    const std::size_t edge_cap = rec.edges.capacity();
+    const VertexId* vertices_before = rec.vertices.data();
+    const std::size_t vertex_cap = rec.vertices.capacity();
+    Rng rng2(seed);
+    const SampleRecord& rec2 = sampler.run_into(arena, rng2);
+    EXPECT_EQ(rec2.edges, expected.edges) << "K=" << k;
+    EXPECT_EQ(rec2.vertices, expected.vertices) << "K=" << k;
+    EXPECT_EQ(rec2.edges.capacity(), edge_cap) << "K=" << k;
+    EXPECT_EQ(rec2.edges.data(), edges_before) << "K=" << k;
+    EXPECT_EQ(rec2.vertices.capacity(), vertex_cap) << "K=" << k;
+    EXPECT_EQ(rec2.vertices.data(), vertices_before) << "K=" << k;
   }
+}
+
+TEST(StreamBatch, DrainArenaReuseAndCapacityIndependence) {
+  const Graph g = test_graph();
+  check_arena_reuse(FrontierSampler(g, {.dimension = 8, .steps = 1000}), 41);
+  check_arena_reuse(
+      SingleRandomWalk(g, {.steps = 1000, .burn_in = 50, .laziness = 0.25}),
+      42);
+  check_arena_reuse(
+      MultipleRandomWalks(g, {.num_walkers = 7, .steps_per_walker = 150}),
+      43);
+  check_arena_reuse(
+      RandomWalkWithJumps(g, {.budget = 1500.0,
+                              .jump_probability = 0.2,
+                              .cost = {.jump_cost = 2.0, .hit_ratio = 0.5}}),
+      44);
+  check_arena_reuse(MetropolisHastingsWalk(g, {.steps = 1000}), 45);
 }
 
 TEST(StreamBatch, BlockCapacityValidation) {

@@ -118,7 +118,7 @@ void check_roundtrip(const Graph& g, MakeCursor make_cursor,
 
 TEST(StreamCheckpoint, FrontierRoundtrip) {
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{.dimension = 6, .steps = 5000};
+  const FrontierCursor::Config cfg{.dimension = 6, .steps = 5000};
   check_roundtrip(
       g,
       [&](std::uint64_t seed) {
@@ -132,7 +132,7 @@ TEST(StreamCheckpoint, FrontierRetiredSlotsMustBeZero) {
   // retired: FrontierCursor always writes them as zero and refuses any
   // other value as a corrupt checkpoint.
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{.dimension = 4, .steps = 100};
+  const FrontierCursor::Config cfg{.dimension = 4, .steps = 100};
   const FrontierCursor cursor(g, cfg, Rng(3));
   std::ostringstream os;
   cursor.save_state(os);
@@ -159,7 +159,7 @@ TEST(StreamCheckpoint, FrontierRetiredSlotsMustBeZero) {
 
 TEST(StreamCheckpoint, SingleRwRoundtrip) {
   const Graph g = test_graph();
-  const SingleRandomWalk::Config cfg{
+  const SingleRwCursor::Config cfg{
       .steps = 4000, .burn_in = 300, .laziness = 0.2};
   check_roundtrip(
       g,
@@ -171,7 +171,7 @@ TEST(StreamCheckpoint, SingleRwRoundtrip) {
 
 TEST(StreamCheckpoint, MultipleRwRoundtrip) {
   const Graph g = test_graph();
-  const MultipleRandomWalks::Config cfg{.num_walkers = 5,
+  const MultipleRwCursor::Config cfg{.num_walkers = 5,
                                         .steps_per_walker = 800};
   check_roundtrip(
       g,
@@ -183,7 +183,7 @@ TEST(StreamCheckpoint, MultipleRwRoundtrip) {
 
 TEST(StreamCheckpoint, RandomWalkWithJumpsRoundtrip) {
   const Graph g = test_graph();
-  const RandomWalkWithJumps::Config cfg{
+  const RwjCursor::Config cfg{
       .budget = 4000.0,
       .jump_probability = 0.1,
       .cost = {.jump_cost = 1.5, .hit_ratio = 0.8}};
@@ -197,7 +197,7 @@ TEST(StreamCheckpoint, RandomWalkWithJumpsRoundtrip) {
 
 TEST(StreamCheckpoint, MetropolisRoundtrip) {
   const Graph g = test_graph();
-  const MetropolisHastingsWalk::Config cfg{.steps = 4000};
+  const MetropolisCursor::Config cfg{.steps = 4000};
   check_roundtrip(
       g,
       [&](std::uint64_t seed) {
@@ -208,7 +208,7 @@ TEST(StreamCheckpoint, MetropolisRoundtrip) {
 
 TEST(StreamCheckpoint, FileRoundtrip) {
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{.dimension = 3, .steps = 1000};
+  const FrontierCursor::Config cfg{.dimension = 3, .steps = 1000};
   StreamEngine first(std::make_unique<FrontierCursor>(g, cfg, Rng(3)),
                      make_sinks(g));
   first.pump(400);
@@ -227,7 +227,7 @@ TEST(StreamCheckpoint, FileRoundtrip) {
 TEST(StreamCheckpoint, RejectsWrongCursorKind) {
   const Graph g = test_graph();
   StreamEngine fs(std::make_unique<FrontierCursor>(
-                      g, FrontierSampler::Config{.dimension = 2, .steps = 100},
+                      g, FrontierCursor::Config{.dimension = 2, .steps = 100},
                       Rng(5)),
                   make_sinks(g));
   fs.pump(10);
@@ -235,14 +235,14 @@ TEST(StreamCheckpoint, RejectsWrongCursorKind) {
   fs.save_checkpoint(ckpt);
 
   StreamEngine mh(std::make_unique<MetropolisCursor>(
-                      g, MetropolisHastingsWalk::Config{.steps = 100}, Rng(5)),
+                      g, MetropolisCursor::Config{.steps = 100}, Rng(5)),
                   make_sinks(g));
   EXPECT_THROW(mh.load_checkpoint(ckpt), IoError);
 }
 
 TEST(StreamCheckpoint, RejectsDifferentGraph) {
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{.dimension = 4, .steps = 100};
+  const FrontierCursor::Config cfg{.dimension = 4, .steps = 100};
   StreamEngine a(std::make_unique<FrontierCursor>(g, cfg, Rng(6)),
                  make_sinks(g));
   a.pump(10);
@@ -258,14 +258,14 @@ TEST(StreamCheckpoint, RejectsDifferentGraph) {
 
 TEST(StreamCheckpoint, RejectsConfigMismatch) {
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{.dimension = 4, .steps = 100};
+  const FrontierCursor::Config cfg{.dimension = 4, .steps = 100};
   StreamEngine a(std::make_unique<FrontierCursor>(g, cfg, Rng(6)),
                  make_sinks(g));
   a.pump(10);
   std::stringstream ckpt;
   a.save_checkpoint(ckpt);
 
-  const FrontierSampler::Config other{.dimension = 8, .steps = 100};
+  const FrontierCursor::Config other{.dimension = 8, .steps = 100};
   StreamEngine b(std::make_unique<FrontierCursor>(g, other, Rng(6)),
                  make_sinks(g));
   EXPECT_THROW(b.load_checkpoint(ckpt), IoError);
@@ -273,7 +273,7 @@ TEST(StreamCheckpoint, RejectsConfigMismatch) {
 
 TEST(StreamCheckpoint, RejectsSinkMismatch) {
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{.dimension = 2, .steps = 100};
+  const FrontierCursor::Config cfg{.dimension = 2, .steps = 100};
   StreamEngine a(std::make_unique<FrontierCursor>(g, cfg, Rng(7)),
                  make_sinks(g));
   a.pump(10);
@@ -289,7 +289,7 @@ TEST(StreamCheckpoint, RejectsSinkMismatch) {
 
 TEST(StreamCheckpoint, RejectsTruncatedStream) {
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{.dimension = 2, .steps = 100};
+  const FrontierCursor::Config cfg{.dimension = 2, .steps = 100};
   StreamEngine a(std::make_unique<FrontierCursor>(g, cfg, Rng(8)),
                  make_sinks(g));
   a.pump(10);

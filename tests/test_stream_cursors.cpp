@@ -65,17 +65,17 @@ TEST(StreamCursors, FrontierMatchesBatchWeightedTree) {
   EXPECT_TRUE(batch_rng == cursor.rng());
 }
 
-TEST(StreamCursors, FrontierRunFromMatchesExplicitFrontier) {
+TEST(StreamCursors, FrontierExplicitFrontierDrainMatchesNext) {
   const Graph g = test_graph();
-  const FrontierSampler fs(g, {.dimension = 4, .steps = 1000});
+  const FrontierSampler::Config cfg{.dimension = 4, .steps = 1000};
   const std::vector<VertexId> starts{1, 5, 9, 13};
-  Rng batch_rng(9);
-  Rng stream_rng(9);
-  const SampleRecord batch = fs.run_from(starts, batch_rng);
-  FrontierCursor cursor(g, fs.config(), starts, stream_rng);
-  const SampleRecord streamed = collect(cursor);
+  FrontierCursor drained(g, cfg, starts, Rng(9));
+  FrontierCursor stepped(g, cfg, starts, Rng(9));
+  const SampleRecord batch = drain_cursor(drained, cfg.steps);
+  const SampleRecord streamed = collect(stepped);
   expect_identical(batch, streamed);
   EXPECT_EQ(streamed.starts, starts);
+  EXPECT_TRUE(drained.rng() == stepped.rng());
 }
 
 TEST(StreamCursors, FrontierCursorValidates) {
