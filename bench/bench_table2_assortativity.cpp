@@ -25,6 +25,10 @@ int main(int argc, char** argv) {
 
   TextTable table({"Graph", "r", "FS bias", "FS NMSE", "MRW bias", "MRW NMSE",
                    "SRW bias", "SRW NMSE"});
+  // Every exact r and per-method bias and NMSE: the batch estimator
+  // (ingest_sample, whose rows locate their picks) must give the same
+  // bytes for any thread count and block size.
+  std::vector<double> fingerprint_values;
 
   for (const Dataset& ds : datasets) {
     const Graph& g = ds.graph;
@@ -76,8 +80,15 @@ int main(int argc, char** argv) {
     session.metric("nmse/" + ds.name + "/FS", fs_acc.nmse());
     session.metric("nmse/" + ds.name + "/MRW", mrw_acc.nmse());
     session.metric("nmse/" + ds.name + "/SRW", srw_acc.nmse());
+    fingerprint_values.push_back(r_true);
+    for (const auto* acc : {&fs_acc, &mrw_acc, &srw_acc}) {
+      fingerprint_values.push_back(acc->relative_bias());
+      fingerprint_values.push_back(acc->nmse());
+    }
   }
   table.print(std::cout);
+  session.metric("result_fingerprint", values_fingerprint(fingerprint_values),
+                 "fnv52");
   std::cout << "\nexpected shape: FS has the smallest |bias| on every row "
                "(the paper's headline: Flickr FS 8% vs MRW 752% vs SRW "
                "-619%); SRW bias ~100% on GAB. NMSE values are huge where "

@@ -17,6 +17,10 @@ int main(int argc, char** argv) {
   TextTable table({"Graph", "C", "FS E[C] (NMSE)", "SRW E[C] (NMSE)",
                    "MRW E[C] (NMSE)"});
 
+  // Every exact C and per-method mean and NMSE: the batch estimator
+  // (the codegree column's intersection kernel, on ReplicationRunner
+  // workers) must give the same bytes for any thread count and block size.
+  std::vector<double> fingerprint_values;
   std::vector<Dataset> datasets;
   datasets.push_back(synthetic_flickr(cfg));
   datasets.push_back(synthetic_livejournal(cfg));
@@ -61,8 +65,15 @@ int main(int argc, char** argv) {
     session.metric("nmse/" + ds.name + "/FS", fs_acc.nmse());
     session.metric("nmse/" + ds.name + "/SRW", srw_acc.nmse());
     session.metric("nmse/" + ds.name + "/MRW", mrw_acc.nmse());
+    fingerprint_values.push_back(c_true);
+    for (const auto* acc : {&fs_acc, &srw_acc, &mrw_acc}) {
+      fingerprint_values.push_back(acc->mean_estimate());
+      fingerprint_values.push_back(acc->nmse());
+    }
   }
   table.print(std::cout);
+  session.metric("result_fingerprint", values_fingerprint(fingerprint_values),
+                 "fnv52");
   std::cout << "\nexpected shape: all means near C; FS with the smallest "
                "NMSE\n";
   return 0;

@@ -24,7 +24,7 @@ std::uint64_t choose3(std::uint64_t n) {
 void common_neighbors(const Graph& g, VertexId u, VertexId v,
                       std::vector<VertexId>& out) {
   out.clear();
-  intersect_sorted(g.neighbors(u), g.neighbors(v),
+  intersect_sorted(g.num_vertices(), g.neighbors(u), g.neighbors(v),
                    [&out](VertexId x) { out.push_back(x); });
 }
 

@@ -2,7 +2,7 @@
 // streaming motif sinks (stream/motif_sinks.hpp) are validated against.
 //
 // Everything here is exact integer combinatorics over the symmetric graph
-// G: sorted-adjacency merge intersection gives the per-edge codegree
+// G: the sorted-adjacency intersection kernel gives the per-edge codegree
 // f(u,v) = |N(u) ∩ N(v)|, and every connected 3-/4-vertex motif count
 // follows from edge-local sums of f plus the degree sequence. Counts are
 // returned as std::uint64_t so a full pass over E through a streaming
@@ -77,7 +77,7 @@ struct MotifCounts {
 };
 
 /// Exact induced 3-/4-vertex motif census. Time is dominated by the
-/// per-edge codegree merges plus Σ_e C(f_e, 2) adjacency probes for K4;
+/// per-edge codegree intersections plus Σ_e C(f_e, 2) adjacency probes for K4;
 /// memory is O(#wedges) for the C4 codegree-pair table.
 [[nodiscard]] MotifCounts exact_motif_counts(const Graph& g);
 

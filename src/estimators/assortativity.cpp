@@ -6,15 +6,6 @@
 
 namespace frontier {
 
-void AssortativityAccumulator::add(double x, double y) noexcept {
-  ++n_;
-  sx_ += x;
-  sy_ += y;
-  sxx_ += x * x;
-  syy_ += y * y;
-  sxy_ += x * y;
-}
-
 double AssortativityAccumulator::value() const noexcept {
   if (n_ < 2) return 0.0;
   const double n = static_cast<double>(n_);

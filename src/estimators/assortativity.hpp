@@ -25,8 +25,16 @@ class AssortativityAccumulator {
     double sx = 0.0, sy = 0.0, sxx = 0.0, syy = 0.0, sxy = 0.0;
   };
 
-  /// Adds one labeled edge with x = outdeg(u), y = indeg(v).
-  void add(double x, double y) noexcept;
+  /// Adds one labeled edge with x = outdeg(u), y = indeg(v). Inline: the
+  /// streaming sink calls it once per labeled row.
+  void add(double x, double y) noexcept {
+    ++n_;
+    sx_ += x;
+    sy_ += y;
+    sxx_ += x * x;
+    syy_ += y * y;
+    sxy_ += x * y;
+  }
 
   /// Number of labeled samples B* absorbed so far.
   [[nodiscard]] std::uint64_t count() const noexcept { return n_; }

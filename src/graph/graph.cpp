@@ -11,12 +11,17 @@ bool Graph::has_edge(VertexId u, VertexId v) const noexcept {
   return std::binary_search(nbrs.begin(), nbrs.end(), v);
 }
 
-bool Graph::has_directed_edge(VertexId u, VertexId v) const noexcept {
-  if (u >= num_vertices() || v >= num_vertices()) return false;
+std::uint32_t Graph::neighbor_index(VertexId u, VertexId v) const noexcept {
+  if (u >= num_vertices() || v >= num_vertices()) return kNotAdjacent;
   const auto nbrs = neighbors(u);
   const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
-  if (it == nbrs.end() || *it != v) return false;
-  const auto k = static_cast<std::size_t>(it - nbrs.begin());
+  if (it == nbrs.end() || *it != v) return kNotAdjacent;
+  return static_cast<std::uint32_t>(it - nbrs.begin());
+}
+
+bool Graph::has_directed_edge(VertexId u, VertexId v) const noexcept {
+  const std::uint32_t k = neighbor_index(u, v);
+  if (k == kNotAdjacent) return false;
   const EdgeDir d = directions(u)[k];
   return d == EdgeDir::kForward || d == EdgeDir::kBoth;
 }

@@ -111,6 +111,13 @@ class Graph {
 #endif
   }
 
+  /// Position of v in neighbors(u), or kNotAdjacent when (u,v) is not in
+  /// E or either id is out of range. O(log deg(u)). An index is below
+  /// deg(u) <= 2^32 - 1, so it never equals the sentinel.
+  [[nodiscard]] std::uint32_t neighbor_index(VertexId u,
+                                             VertexId v) const noexcept;
+  static constexpr std::uint32_t kNotAdjacent = 0xFFFFFFFFu;
+
   /// True iff (u,v) is in the symmetric edge set E. O(log deg(u)).
   [[nodiscard]] bool has_edge(VertexId u, VertexId v) const noexcept;
 

@@ -86,7 +86,7 @@ double exact_assortativity(const Graph& g) {
 std::uint32_t shared_neighbors(const Graph& g, VertexId u,
                                VertexId v) noexcept {
   std::uint32_t count = 0;
-  intersect_sorted(g.neighbors(u), g.neighbors(v),
+  intersect_sorted(g.num_vertices(), g.neighbors(u), g.neighbors(v),
                    [&count](VertexId) { ++count; });
   return count;
 }

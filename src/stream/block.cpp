@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/env.hpp"
+#include "graph/graph.hpp"
 #include "graph/metrics.hpp"
 
 namespace frontier {
@@ -19,11 +20,12 @@ StreamEventBlock::StreamEventBlock(std::size_t capacity) : cap_(capacity) {
   if (cap_ == 0) {
     throw std::invalid_argument("StreamEventBlock: capacity >= 1");
   }
-  u_.resize(cap_);
-  v_.resize(cap_);
-  deg_v_.resize(cap_);
-  vertex_.resize(cap_);
-  flags_.resize(cap_);
+  u_ = std::make_unique_for_overwrite<VertexId[]>(cap_);
+  v_ = std::make_unique_for_overwrite<VertexId[]>(cap_);
+  deg_v_ = std::make_unique_for_overwrite<std::uint32_t[]>(cap_);
+  vertex_ = std::make_unique_for_overwrite<VertexId[]>(cap_);
+  flags_ = std::make_unique_for_overwrite<std::uint8_t[]>(cap_);
+  pick_ = std::make_unique_for_overwrite<std::uint32_t[]>(cap_);
 }
 
 std::span<const std::uint32_t> StreamEventBlock::codegree(
@@ -49,6 +51,23 @@ std::span<const std::uint32_t> StreamEventBlock::codegree(
   }
   codegree_rows_ = size_;
   return {codegree_.data(), size_};
+}
+
+std::span<const std::uint32_t> StreamEventBlock::pick(const Graph& g) const {
+  if (pick_graph_ != &g) {
+    pick_graph_ = &g;
+    pick_rows_ = 0;
+  }
+  const bool pushed_hold = pick_source_ == &g;
+  if (!pushed_hold) pick_source_ = nullptr;
+  for (std::size_t i = pick_rows_; i < size_; ++i) {
+    const std::uint8_t f = flags_[i];
+    if ((f & kHasEdge) && !(pushed_hold && (f & kPicked))) {
+      pick_[i] = g.neighbor_index(u_[i], v_[i]);
+    }
+  }
+  pick_rows_ = size_;
+  return {pick_.get(), size_};
 }
 
 }  // namespace frontier

@@ -21,18 +21,33 @@
 // of eq. 7), and the cursor usually has it at hand (FS updates its
 // Fenwick tree with it), so the block computes it once for all sinks.
 //
-// The codegree column f(u,v) = |N(u) ∩ N(v)| is derived, not written by
-// the cursor: the first sink that reads it after a fill runs the
-// intersection kernel (graph/intersect.hpp) for every edge row, and every
-// later reader of the same fill (the triangle and clustering sinks both
-// need f) gets the same span. The memo is keyed on the graph and on the
-// number of rows already computed: clear() resets it (so push_* pays
-// nothing for it), a read after appends computes only the new rows, and a
-// read with another graph recomputes them all.
+// The pick column carries, on each edge row a cursor wrote, the index k
+// with v = neighbors(u)[k]: every walk step draws k to pick v, so storing
+// it costs one 4-byte write, and it turns the direction lookup of a
+// sampled edge (directed assortativity, Table 2) into one load of
+// direction_array()[offsets[u] + k] instead of a binary search.
+//
+// Two columns are derived, under one memo rule: the codegree f(u,v) =
+// |N(u) ∩ N(v)|, which no cursor writes (the first sink that reads it
+// after a fill runs the intersection kernel, graph/intersect.hpp, for
+// every edge row), and the pick, which a cursor writes but a reader may
+// have to locate. Every later reader of the same fill gets the same span.
+// Each memo is keyed on the graph and on the number of rows already
+// derived: clear() resets it (so push_* pays nothing for it), a read
+// after appends derives only the new rows, and a read with another graph
+// derives them all again. Picks are trusted only for the graph the cursor
+// names in clear(g); rows pushed without a pick (ingest_sample,
+// hand-filled blocks) are located by Graph::neighbor_index on first read,
+// and a non-edge reads Graph::kNotAdjacent.
+//
+// The columns are allocated uninitialised: readers see only size() rows
+// and gate on flags(), so nothing needs zeroing, and a block that is
+// never filled to capacity never touches its tail pages.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -63,6 +78,9 @@ class StreamEventBlock {
   /// jump): budget was spent but nothing was observed.
   static constexpr std::uint8_t kHasEdge = 1;
   static constexpr std::uint8_t kHasVertex = 2;
+  /// Set on an edge row pushed with its pick. A bit of the pick memo, not
+  /// of the event: test the two bits above by mask.
+  static constexpr std::uint8_t kPicked = 4;
 
   explicit StreamEventBlock(std::size_t capacity = default_block_capacity());
 
@@ -70,20 +88,30 @@ class StreamEventBlock {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t room() const noexcept { return cap_ - size_; }
-  void clear() noexcept {
-    size_ = 0;
-    codegree_rows_ = 0;
-  }
+  /// Empties the block; picks pushed after it are located on first read.
+  void clear() noexcept { clear_for(nullptr); }
+  /// Empties the block for a cursor on g: picks pushed after it are
+  /// trusted by pick(g).
+  void clear(const Graph& g) noexcept { clear_for(&g); }
 
   // Writer API (cursors). Precondition: size() < capacity(). Rows not
   // carrying an edge (resp. vertex) leave those columns stale; readers
-  // must gate on flags().
+  // must gate on flags(). `pick` is v's index in neighbors(u); the
+  // overloads without it leave the row to be located.
   void push_empty() noexcept { flags_[size_++] = 0; }
   void push_edge(VertexId u, VertexId v, std::uint32_t deg_v) noexcept {
     u_[size_] = u;
     v_[size_] = v;
     deg_v_[size_] = deg_v;
     flags_[size_++] = kHasEdge;
+  }
+  void push_edge(VertexId u, VertexId v, std::uint32_t deg_v,
+                 std::uint32_t pick) noexcept {
+    u_[size_] = u;
+    v_[size_] = v;
+    deg_v_[size_] = deg_v;
+    pick_[size_] = pick;
+    flags_[size_++] = kHasEdge | kPicked;
   }
   void push_vertex(VertexId x) noexcept {
     vertex_[size_] = x;
@@ -97,41 +125,70 @@ class StreamEventBlock {
     vertex_[size_] = x;
     flags_[size_++] = kHasEdge | kHasVertex;
   }
+  void push_edge_vertex(VertexId u, VertexId v, std::uint32_t deg_v,
+                        VertexId x, std::uint32_t pick) noexcept {
+    u_[size_] = u;
+    v_[size_] = v;
+    deg_v_[size_] = deg_v;
+    pick_[size_] = pick;
+    vertex_[size_] = x;
+    flags_[size_++] = kHasEdge | kHasVertex | kPicked;
+  }
 
   // Reader API (sinks, drain). Spans cover the size() filled rows.
   [[nodiscard]] std::span<const VertexId> u() const noexcept {
-    return {u_.data(), size_};
+    return {u_.get(), size_};
   }
   [[nodiscard]] std::span<const VertexId> v() const noexcept {
-    return {v_.data(), size_};
+    return {v_.get(), size_};
   }
   /// Symmetric degree of v() in the cursor's graph, valid on edge rows.
   [[nodiscard]] std::span<const std::uint32_t> deg_v() const noexcept {
-    return {deg_v_.data(), size_};
+    return {deg_v_.get(), size_};
   }
   [[nodiscard]] std::span<const VertexId> vertex() const noexcept {
-    return {vertex_.data(), size_};
+    return {vertex_.get(), size_};
   }
   [[nodiscard]] std::span<const std::uint8_t> flags() const noexcept {
-    return {flags_.data(), size_};
+    return {flags_.get(), size_};
   }
   /// Codegree |N(u) ∩ N(v)| in g, valid on edge rows; memoised as the
   /// file comment says. The memo makes this const call a write, so one
   /// thread at a time may read a block.
   [[nodiscard]] std::span<const std::uint32_t> codegree(const Graph& g) const;
+  /// Index of v in g.neighbors(u), or Graph::kNotAdjacent, valid on edge
+  /// rows; derived under the same memo rule as codegree().
+  [[nodiscard]] std::span<const std::uint32_t> pick(const Graph& g) const;
 
  private:
-  std::vector<VertexId> u_;
-  std::vector<VertexId> v_;
-  std::vector<std::uint32_t> deg_v_;
-  std::vector<VertexId> vertex_;
-  std::vector<std::uint8_t> flags_;
+  void clear_for(const Graph* g) noexcept {
+    size_ = 0;
+    codegree_rows_ = 0;
+    pick_source_ = g;
+    pick_graph_ = g;
+    pick_rows_ = 0;
+  }
+
+  std::unique_ptr<VertexId[]> u_;
+  std::unique_ptr<VertexId[]> v_;
+  std::unique_ptr<std::uint32_t[]> deg_v_;
+  std::unique_ptr<VertexId[]> vertex_;
+  std::unique_ptr<std::uint8_t[]> flags_;
+  // Written by the cursor; pick() also writes the rows it derives.
+  std::unique_ptr<std::uint32_t[]> pick_;
   std::size_t size_ = 0;
   std::size_t cap_;
   // Memoised codegree column; grows to the most rows ever filled.
   mutable std::vector<std::uint32_t> codegree_;
   mutable const Graph* codegree_graph_ = nullptr;
   mutable std::size_t codegree_rows_ = 0;
+  // Pushed picks (rows flagged kPicked) hold for pick_source_, the graph
+  // named in clear(g), and the picks of rows [0, pick_rows_) for
+  // pick_graph_. A read for another graph overwrites pushed picks, so it
+  // resets pick_source_ too.
+  mutable const Graph* pick_source_ = nullptr;
+  mutable const Graph* pick_graph_ = nullptr;
+  mutable std::size_t pick_rows_ = 0;
 };
 
 }  // namespace frontier

@@ -134,7 +134,7 @@ class MotifSink final : public EstimatorSink {
   std::uint64_t diamond2_ = 0;  // Σ C(f, 2)            = 2·diamonds_n
   std::uint64_t cycle8_ = 0;    // Σ_x∈N(u)\v (f(x,v)-1) = 8·C4_n
   std::uint64_t clique12_ = 0;  // Σ adjacent pairs in N(u)∩N(v) = 12·K4
-  std::vector<VertexId> scratch_;  // codegree merge buffer, not state
+  std::vector<VertexId> scratch_;  // common-neighbour buffer, not state
 };
 
 }  // namespace frontier

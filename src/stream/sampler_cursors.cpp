@@ -122,7 +122,7 @@ bool FrontierCursor::next(StreamEvent& ev) {
 
 std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
                                        std::size_t max_steps) {
-  block.clear();
+  block.clear(*graph_);
   const std::uint64_t remaining = config_.steps - step_;
   const std::size_t want = static_cast<std::size_t>(std::min<std::uint64_t>(
       std::min(max_steps, block.capacity()), remaining));
@@ -134,13 +134,15 @@ std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
     const std::size_t i = tree_.sample(rng);  // line 4: walker ∝ degree
     const VertexId u = frontier[i];
     const auto nbrs = g.neighbors(u);                      // line 5
-    const VertexId v = nbrs[uniform_index(rng, nbrs.size())];
+    const auto pick =
+        static_cast<std::uint32_t>(uniform_index(rng, nbrs.size()));
+    const VertexId v = nbrs[pick];
     const std::uint32_t dv = g.degree(v);
     // Warm v's adjacency now: this walker is next selected ~m steps
     // from now, far beyond the prefetch latency, so its step then
     // hits cache instead of stalling on main memory.
     g.prefetch_neighbors(v);
-    block.push_edge(u, v, dv);                             // line 6
+    block.push_edge(u, v, dv, pick);                       // line 6
     frontier[i] = v;
     tree_.set(i, static_cast<double>(dv));
   }
@@ -236,7 +238,7 @@ bool SingleRwCursor::next(StreamEvent& ev) {
 
 std::size_t SingleRwCursor::next_batch(StreamEventBlock& block,
                                        std::size_t max_steps) {
-  block.clear();
+  block.clear(*graph_);
   const std::size_t want = std::min(max_steps, block.capacity());
   const Graph& g = *graph_;
   const double laziness = config_.laziness;
@@ -261,8 +263,10 @@ std::size_t SingleRwCursor::next_batch(StreamEventBlock& block,
         want - taken, config_.steps - step_);
     for (std::uint64_t k = 0; k < n; ++k) {
       const auto nbrs = g.neighbors(u);
-      const VertexId v = nbrs[uniform_index(rng, nbrs.size())];
-      block.push_edge(u, v, g.degree(v));
+      const auto pick =
+          static_cast<std::uint32_t>(uniform_index(rng, nbrs.size()));
+      const VertexId v = nbrs[pick];
+      block.push_edge(u, v, g.degree(v), pick);
       u = v;
     }
     step_ += n;
@@ -273,8 +277,10 @@ std::size_t SingleRwCursor::next_batch(StreamEventBlock& block,
         block.push_empty();
       } else {
         const auto nbrs = g.neighbors(u);
-        const VertexId v = nbrs[uniform_index(rng, nbrs.size())];
-        block.push_edge(u, v, g.degree(v));
+        const auto pick =
+            static_cast<std::uint32_t>(uniform_index(rng, nbrs.size()));
+        const VertexId v = nbrs[pick];
+        block.push_edge(u, v, g.degree(v), pick);
         u = v;
       }
       ++step_;
@@ -373,7 +379,7 @@ bool MultipleRwCursor::next(StreamEvent& ev) {
 
 std::size_t MultipleRwCursor::next_batch(StreamEventBlock& block,
                                          std::size_t max_steps) {
-  block.clear();
+  block.clear(*graph_);
   const std::size_t want = std::min(max_steps, block.capacity());
   const Graph& g = *graph_;
   Rng rng = rng_;
@@ -395,8 +401,10 @@ std::size_t MultipleRwCursor::next_batch(StreamEventBlock& block,
     VertexId u = u_;
     for (std::uint64_t k = 0; k < n; ++k) {
       const auto nbrs = g.neighbors(u);
-      const VertexId v = nbrs[uniform_index(rng, nbrs.size())];
-      block.push_edge(u, v, g.degree(v));
+      const auto pick =
+          static_cast<std::uint32_t>(uniform_index(rng, nbrs.size()));
+      const VertexId v = nbrs[pick];
+      block.push_edge(u, v, g.degree(v), pick);
       u = v;
     }
     u_ = u;
@@ -557,7 +565,7 @@ bool RwjCursor::next(StreamEvent& ev) {
 
 std::size_t RwjCursor::next_batch(StreamEventBlock& block,
                                   std::size_t max_steps) {
-  block.clear();
+  block.clear(*graph_);
   const std::size_t want = std::min(max_steps, block.capacity());
   std::size_t taken = 0;
   if (want != 0 && pending_vertex_) {
@@ -586,8 +594,10 @@ std::size_t RwjCursor::next_batch(StreamEventBlock& block,
     }
     cost_ += 1.0;
     const auto nbrs = g.neighbors(v_);
-    const VertexId w = nbrs[uniform_index(rng_, nbrs.size())];
-    block.push_edge_vertex(v_, w, g.degree(w), w);
+    const auto pick =
+        static_cast<std::uint32_t>(uniform_index(rng_, nbrs.size()));
+    const VertexId w = nbrs[pick];
+    block.push_edge_vertex(v_, w, g.degree(w), w, pick);
     v_ = w;
     ++taken;
   }
@@ -669,7 +679,7 @@ bool MetropolisCursor::next(StreamEvent& ev) {
 
 std::size_t MetropolisCursor::next_batch(StreamEventBlock& block,
                                          std::size_t max_steps) {
-  block.clear();
+  block.clear(*graph_);
   const std::size_t want = std::min(max_steps, block.capacity());
   std::size_t taken = 0;
   if (want != 0 && pending_vertex_) {
@@ -688,12 +698,14 @@ std::size_t MetropolisCursor::next_batch(StreamEventBlock& block,
   std::uint32_t deg_v = g.degree(v);
   for (std::uint64_t k = 0; k < n; ++k) {
     const auto nbrs = g.neighbors(v);
-    const VertexId w = nbrs[uniform_index(rng, nbrs.size())];
+    const auto pick =
+        static_cast<std::uint32_t>(uniform_index(rng, nbrs.size()));
+    const VertexId w = nbrs[pick];
     const std::uint32_t deg_w = g.degree(w);
     const double accept =
         static_cast<double>(deg_v) / static_cast<double>(deg_w);
     if (accept >= 1.0 || uniform01(rng) < accept) {
-      block.push_edge_vertex(v, w, deg_w, w);
+      block.push_edge_vertex(v, w, deg_w, w, pick);
       v = w;
       deg_v = deg_w;
     } else {

@@ -21,8 +21,9 @@ constexpr std::uint8_t kHasVertex = StreamEventBlock::kHasVertex;
 // Writes `count` rows, row i by push(block, i), into blocks of up to
 // default_block_capacity() rows and ingests each as it fills. The block
 // is allocated once per thread and reused by every call on it; clear()
-// before each fill also resets its codegree memo, so a reuse on another
-// graph, or at the address of a freed one, recomputes the column.
+// before each fill also resets its derived-column memos, so a reuse on
+// another graph, or at the address of a freed one, recomputes the
+// columns. The rows carry no pick, so a sink that reads one locates it.
 template <typename Push>
 void ingest_rows(EstimatorSink& sink, std::size_t count, Push push) {
   if (count == 0) return;
@@ -209,9 +210,15 @@ void AssortativitySink::ingest_block(const StreamEventBlock& block) {
   const VertexId* u = block.u().data();
   const VertexId* v = block.v().data();
   const Graph& g = *graph_;
+  const std::uint32_t* pick = block.pick(g).data();
+  const EdgeIndex* offsets = g.offsets().data();
+  const EdgeDir* dirs = g.direction_array().data();
   for (std::size_t i = 0; i < sz; ++i) {
     if (!(flags[i] & kHasEdge)) continue;
-    if (!g.has_directed_edge(u[i], v[i])) continue;  // unlabeled: skip
+    if (pick[i] == Graph::kNotAdjacent) continue;  // not an edge of g
+    // (u,v) is labeled iff it is in E_d: forward or both ways.
+    const EdgeDir d = dirs[offsets[u[i]] + pick[i]];
+    if (d != EdgeDir::kForward && d != EdgeDir::kBoth) continue;
     acc_.add(static_cast<double>(g.out_degree(u[i])),
              static_cast<double>(g.in_degree(v[i])));
   }

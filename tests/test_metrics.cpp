@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "analysis/motifs.hpp"
+#include "core/parallel.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/intersect.hpp"
@@ -152,8 +153,8 @@ TEST(SharedNeighbors, ShortListWhollyPastTheLongListsEnd) {
 TEST(SharedNeighbors, LengthRatiosAroundTheGallopSwitch) {
   // A short list of 4 against long lists of kGallopRatio - 1, kGallopRatio
   // and kGallopRatio + 1 times its length (15x, 16x, 17x): the kernel
-  // merges up to the ratio and gallops past it; both paths must give the
-  // same count, with matches at both ends and in between.
+  // marks and probes up to the ratio and gallops past it; both paths must
+  // give the same count, with matches at both ends and in between.
   constexpr std::size_t kShort = 4;
   for (const std::size_t ratio :
        {kGallopRatio - 1, kGallopRatio, kGallopRatio + 1}) {
@@ -162,6 +163,115 @@ TEST(SharedNeighbors, LengthRatiosAroundTheGallopSwitch) {
     expect_lists_intersect({2, 7, 3 * 10 + 2, last}, longer);
     expect_lists_intersect({3, 4, last - 1, last + 1}, longer);
     expect_lists_intersect({2, 5, 8, 11}, longer);
+  }
+}
+
+// A graph of n vertices in which vertex `owner_a` has adjacency `a` and
+// `owner_b` adjacency `b` (ids other than the two owners, < n).
+Graph lists_in(std::size_t n, VertexId owner_a, VertexId owner_b,
+               const std::vector<VertexId>& a,
+               const std::vector<VertexId>& b) {
+  GraphBuilder builder(n);
+  for (const VertexId x : a) builder.add_undirected_edge(owner_a, x);
+  for (const VertexId x : b) builder.add_undirected_edge(owner_b, x);
+  return builder.build();
+}
+
+TEST(SharedNeighbors, IdsZeroAndLastAndEmptyLists) {
+  constexpr std::size_t n = 50;
+  constexpr VertexId last = n - 1;
+  // Both ends of the id range in both lists, then in only one of them.
+  expect_matches_set_intersection(
+      lists_in(n, 10, 20, {0, 3, 7, last}, {0, 5, 7, 30, last}), 10, 20);
+  expect_matches_set_intersection(
+      lists_in(n, 10, 20, {0, 4}, {1, 4, 8, last}), 10, 20);
+  expect_matches_set_intersection(
+      lists_in(n, 10, 20, {last}, {0, last}), 10, 20);
+  // An isolated vertex against a list holding 0 and n - 1.
+  expect_matches_set_intersection(lists_in(n, 10, 20, {}, {0, last}), 10,
+                                  20);
+  expect_matches_set_intersection(lists_in(n, 10, 20, {}, {}), 10, 20);
+}
+
+TEST(SharedNeighbors, MarksGrowAcrossGraphsOfDifferentSize) {
+  // One thread, a small graph, then one far larger than any other in this
+  // binary (its ids force the per-thread marks to grow), then the small
+  // graph again: all three right.
+  const Graph small = lists_in(40, 0, 1, {2, 5, 9, 39}, {5, 6, 9, 39});
+  constexpr std::size_t big_n = 400000;
+  constexpr VertexId big_last = big_n - 1;
+  const Graph big = lists_in(big_n, 0, 1, {2, 5, 300000, big_last},
+                             {5, 7, 300000, 300001, big_last});
+  expect_matches_set_intersection(small, 0, 1);
+  expect_matches_set_intersection(big, 0, 1);
+  expect_matches_set_intersection(small, 0, 1);
+  EXPECT_EQ(shared_neighbors(big, 0, 1), 3u);
+  EXPECT_EQ(shared_neighbors(small, 0, 1), 3u);
+}
+
+TEST(SharedNeighbors, ThrowingCallbackLeavesNoMarks) {
+  // Lengths within kGallopRatio of each other, so both calls mark and
+  // probe. The first call's on_match throws at its first match, with all
+  // of `a` marked; a mark left behind would add 2, 5 or 8 to the second
+  // call's result.
+  constexpr std::size_t n = 64;
+  const std::vector<VertexId> a{2, 5, 8};
+  const std::vector<VertexId> b{2, 3, 4, 5, 6, 7, 8, 9};
+  struct Stop {};
+  int calls = 0;
+  EXPECT_THROW(intersect_sorted(n, a, b,
+                                [&calls](VertexId) {
+                                  ++calls;
+                                  throw Stop{};
+                                }),
+               Stop);
+  EXPECT_EQ(calls, 1);
+  const std::vector<VertexId> c{3, 4};
+  std::vector<VertexId> got;
+  intersect_sorted(n, c, b, [&got](VertexId x) { got.push_back(x); });
+  EXPECT_EQ(got, (std::vector<VertexId>{3, 4}));
+  // And through the library entry points, on a graph holding the lists.
+  expect_lists_intersect(c, b);
+  expect_lists_intersect(a, {3, 4, 6, 7, 9});
+}
+
+TEST(SharedNeighbors, ThreadsKeepTheirOwnMarks) {
+  // Four threads intersect at once, each over every edge of its own graph
+  // size, so each grows its own marks. Marks shared across threads would
+  // race (the TSan job runs this binary) and leak one thread's bytes into
+  // another's counts.
+  Rng rng(77);
+  std::vector<Graph> graphs;
+  for (const std::size_t n : {500, 4000, 1500, 9000}) {
+    graphs.push_back(barabasi_albert(n, 4, rng));
+  }
+  const auto edge_counts = [](const Graph& g, auto codegree) {
+    std::vector<std::uint32_t> out;
+    for (VertexId u = 0; u < g.num_vertices(); ++u) {
+      for (const VertexId v : g.neighbors(u)) out.push_back(codegree(g, u, v));
+    }
+    return out;
+  };
+  std::vector<std::vector<std::uint32_t>> want;
+  for (const Graph& g : graphs) {
+    want.push_back(edge_counts(g, [](const Graph& h, VertexId u, VertexId v) {
+      const auto a = h.neighbors(u);
+      const auto b = h.neighbors(v);
+      std::vector<VertexId> both;
+      std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                            std::back_inserter(both));
+      return static_cast<std::uint32_t>(both.size());
+    }));
+  }
+  std::vector<std::vector<std::uint32_t>> got(graphs.size());
+  parallel_for_ranges(graphs.size(), graphs.size(),
+                      [&](std::size_t, std::size_t begin, std::size_t end) {
+                        for (std::size_t w = begin; w < end; ++w) {
+                          got[w] = edge_counts(graphs[w], shared_neighbors);
+                        }
+                      });
+  for (std::size_t w = 0; w < graphs.size(); ++w) {
+    EXPECT_EQ(got[w], want[w]) << "graph " << w;
   }
 }
 

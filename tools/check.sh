@@ -69,15 +69,16 @@ if [ "$TSAN" -eq 1 ]; then
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j "$JOBS" --target \
     test_replication_runner test_metrics_registry test_obs_determinism \
-    test_graph_storage test_distributed_fs
+    test_graph_storage test_distributed_fs test_metrics test_stream_block
   # The concurrency-bearing subset: the replication work queue, the
   # sharded metrics registry, telemetry attach/detach during crawls, the
-  # parallel edge-list parser / parallel sort, and the walker shards of
-  # ParallelFrontierSampler.
+  # parallel edge-list parser / parallel sort, the walker shards of
+  # ParallelFrontierSampler, and the per-thread state of the intersection
+  # kernel (its marks) and of the block's pick column.
   # TSan's happens-before checking makes these meaningful; the rest of
   # the suite is single-threaded and already covered by ASan/UBSan.
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" --timeout 300 \
-    -R 'test_replication_runner|test_metrics_registry|test_obs_determinism|test_graph_storage|test_distributed_fs'
+    -R '^(test_replication_runner|test_metrics_registry|test_obs_determinism|test_graph_storage|test_distributed_fs|test_metrics|test_stream_block)$'
 fi
 
 if [ "$TIDY" -eq 1 ]; then
