@@ -1,10 +1,10 @@
-// Graph load-path benchmark: text vs binary-v1 vs binary-v2 (mmap).
+// Graph load-path benchmark: text edge list vs binary v2 (mmap).
 //
 // Generates a Barabási–Albert graph (default 250k vertices, attach 4 —
-// just over one million directed edges), writes it in all three formats,
-// and times a cold load of each plus the first full touch of the mmap'd
+// just over one million directed edges), writes it in both formats, and
+// times a cold load of each plus the first full touch of the loaded
 // arrays. The v2 load is O(1) — header validation plus an mmap call — so
-// its speedup over v1 (per-edge decode + full CSR rebuild) grows with the
+// its speedup over text (parse + densify + full CSR build) grows with the
 // graph; the acceptance bar is >= 20x at >= 1M directed edges. RSS deltas
 // come from /proc/self/status (VmRSS), 0 where unavailable: the mmap load
 // itself should admit ~no resident growth until the arrays are touched.
@@ -106,22 +106,13 @@ int main(int argc, char** argv) {
   const std::string stem =
       (fs::temp_directory_path() / "frontier_bench_load").string();
   const std::string text_path = stem + ".txt";
-  const std::string v1_path = stem + ".v1.bin";
   const std::string v2_path = stem + ".v2.bin";
   write_edge_list_file(g, text_path);
-  {
-    std::ofstream f(v1_path, std::ios::binary);
-    write_binary_v1(g, f);
-  }
   write_binary_file(g, v2_path);
 
   std::vector<LoadRow> rows;
-  // mmap first: a later text/v1 load cannot pollute its RSS delta.
+  // mmap first: a later text load cannot pollute its RSS delta.
   rows.push_back(measure("v2 (mmap)", v2_path,
-                         [](const std::string& p) {
-                           return read_binary_file(p);
-                         }));
-  rows.push_back(measure("v1 (rebuild)", v1_path,
                          [](const std::string& p) {
                            return read_binary_file(p);
                          }));
@@ -130,7 +121,6 @@ int main(int argc, char** argv) {
   }));
 
   fs::remove(text_path);
-  fs::remove(v1_path);
   fs::remove(v2_path);
 
   TextTable table({"format", "file MiB", "load ms", "first-touch ms",
@@ -142,17 +132,15 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  if (rows[0].checksum != rows[1].checksum ||
-      rows[0].checksum != rows[2].checksum) {
+  if (rows[0].checksum != rows[1].checksum) {
     std::cerr << "FAIL: formats disagree on graph contents\n";
     return 1;
   }
 
-  const double v1_over_v2 = rows[1].load_ms / std::max(rows[0].load_ms, 1e-6);
   const double text_over_v2 =
-      rows[2].load_ms / std::max(rows[0].load_ms, 1e-6);
-  std::cout << "\nv2 mmap speedup: " << format_number(v1_over_v2)
-            << "x vs v1, " << format_number(text_over_v2) << "x vs text\n";
+      rows[1].load_ms / std::max(rows[0].load_ms, 1e-6);
+  std::cout << "\nv2 mmap speedup: " << format_number(text_over_v2)
+            << "x vs text\n";
   for (const LoadRow& r : rows) {
     session.metric("load_ms/" + r.format, r.load_ms, "ms");
     session.metric("first_touch_ms/" + r.format, r.touch_ms, "ms");
@@ -160,16 +148,15 @@ int main(int argc, char** argv) {
   session.metric("vertices", static_cast<double>(n));
   session.metric("directed_edges",
                  static_cast<double>(g.num_directed_edges()));
-  session.metric("mmap_speedup_vs_v1", v1_over_v2, "x");
   session.metric("mmap_speedup_vs_text", text_over_v2, "x");
   const bool big_enough = g.num_directed_edges() >= 1000000;
   if (big_enough) {
-    std::cout << (v1_over_v2 >= 20.0 ? "PASS" : "FAIL")
-              << ": acceptance bar is >= 20x vs v1 at >= 1M directed "
+    std::cout << (text_over_v2 >= 20.0 ? "PASS" : "FAIL")
+              << ": acceptance bar is >= 20x vs text at >= 1M directed "
                  "edges\n";
   } else {
     std::cout << "note: graph below 1M directed edges; acceptance bar "
                  "applies to the default size\n";
   }
-  return big_enough && v1_over_v2 < 20.0 ? 1 : 0;
+  return big_enough && text_over_v2 < 20.0 ? 1 : 0;
 }

@@ -16,18 +16,13 @@ Graph load_graph(const std::string& path, bool want_mmap) {
         "convert " +
         path + " graph.bin)");
   }
-  Graph g = is_bin ? read_binary_file(path) : read_edge_list_file(path);
-  if (want_mmap && !g.is_memory_mapped()) {
-#if FRONTIER_HAS_MMAP
-    throw std::invalid_argument(
-        "--mmap: " + path +
-        " is a legacy v1 snapshot; re-write it as v2 with convert");
-#else
+#if !FRONTIER_HAS_MMAP
+  if (want_mmap) {
     throw std::invalid_argument(
         "--mmap: memory-mapped loading is unavailable on this platform");
-#endif
   }
-  return g;
+#endif
+  return is_bin ? read_binary_file(path) : read_edge_list_file(path);
 }
 
 void save_graph(const Graph& g, const std::string& path) {

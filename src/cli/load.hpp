@@ -1,7 +1,7 @@
 // Graph loading/saving shared by the CLI tools (frontier_cli,
 // frontier_serve): extension-driven format choice plus the --mmap
-// contract — when the caller asked for a zero-copy load, anything that
-// would silently fall back to a rebuild is an error instead.
+// contract — when the caller asked for a zero-copy load, an input that
+// cannot be mapped is an error instead of a silent rebuild.
 #pragma once
 
 #include <string>
@@ -11,8 +11,8 @@
 namespace frontier::cli {
 
 /// Loads `path` (.bin → binary snapshot, else edge list). With
-/// `want_mmap`, requires a v2 .bin snapshot actually served via mmap and
-/// throws std::invalid_argument otherwise.
+/// `want_mmap`, requires a .bin path on a platform with mmap (where a
+/// snapshot is always mapped) and throws std::invalid_argument otherwise.
 [[nodiscard]] Graph load_graph(const std::string& path, bool want_mmap);
 
 /// Writes `g` to `path` (.bin → format-v2 snapshot, else edge list).

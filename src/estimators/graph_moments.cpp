@@ -15,7 +15,7 @@ double estimate_average_degree(const Graph& g, std::span<const Edge> edges) {
 double estimate_average_degree_uniform(const Graph& g,
                                        std::span<const VertexId> vertices) {
   UniformDegreeSink sink(g);
-  ingest_sample(sink, vertices);
+  ingest_sample(sink, g, vertices);
   return sink.value();
 }
 

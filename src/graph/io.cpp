@@ -1,6 +1,7 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <charconv>
 #include <cstdint>
@@ -9,9 +10,9 @@
 #include <istream>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <string_view>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -27,7 +28,7 @@
 
 namespace frontier {
 
-// The binary formats store raw little-endian arrays; a big-endian port
+// The binary format stores raw little-endian arrays; a big-endian port
 // would need byte-swapping read/write paths.
 static_assert(std::endian::native == std::endian::little,
               "graph binary IO assumes a little-endian host");
@@ -35,6 +36,7 @@ static_assert(std::endian::native == std::endian::little,
 namespace {
 
 constexpr std::uint64_t kMagic = 0x46524f4e54474230ULL;  // "FRONTGB0"
+constexpr std::uint32_t kVersion = 2;
 constexpr std::uint64_t kV2HeaderBytes = 40;  // magic,ver,reserved,n,dir,sym
 
 template <typename T>
@@ -42,19 +44,20 @@ void write_pod(std::ostream& os, const T& value) {
   os.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-template <typename T>
-T read_pod(std::istream& is) {
-  T value{};
-  is.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!is) throw IoError("read_binary: truncated stream");
-  return value;
-}
-
+// Without mmap, files are read through streams.
+#if !FRONTIER_HAS_MMAP
 std::ifstream open_in(const std::string& path, std::ios_base::openmode mode) {
   std::ifstream f(path, mode);
   if (!f) throw IoError("cannot open for reading: " + path);
   return f;
 }
+
+std::uint64_t file_size_of(const std::string& path) {
+  std::ifstream f(path, std::ios_base::binary | std::ios_base::ate);
+  const auto size = f.tellg();
+  return (f && size > 0) ? static_cast<std::uint64_t>(size) : 0;
+}
+#endif
 
 // Graph snapshots are created (streamed, possibly GBs — too big to
 // buffer for the durable helper), not atomically replaced; a writer that
@@ -225,8 +228,8 @@ struct V2Header {
 };
 
 /// Byte offsets of the five arrays relative to the header start, plus the
-/// total snapshot size. Call validate_v2_header first: with n and s bounded
-/// none of the sums below can overflow.
+/// total snapshot size. With n and s bounded by decode_v2_header none of
+/// the sums below can overflow.
 struct V2Layout {
   std::uint64_t offsets;
   std::uint64_t neighbors;
@@ -255,10 +258,37 @@ V2Layout v2_layout(const V2Header& h) {
   return l;
 }
 
-/// Rejects headers whose counts are inconsistent or cannot fit in
-/// `available` payload bytes (when known) *before* any allocation.
-void validate_v2_header(const V2Header& h,
-                        std::optional<std::uint64_t> available) {
+/// Decodes the header from the first min(40, file size) bytes of a
+/// snapshot. Checks the magic, the version and the counts, the latter
+/// against `available` payload bytes when known, *before* any allocation.
+V2Header decode_v2_header(std::span<const std::byte> bytes,
+                          std::optional<std::uint64_t> available) {
+  const auto field = [&bytes]<typename T>(std::size_t at, T& out) {
+    std::memcpy(&out, bytes.data() + at, sizeof(T));
+  };
+  if (bytes.size() < 12) throw IoError("read_binary: truncated header");
+  std::uint64_t magic = 0;
+  std::uint32_t version = 0;
+  field(0, magic);
+  field(8, version);
+  if (magic != kMagic) throw IoError("read_binary: bad magic");
+  if (version == 1) {
+    throw IoError(
+        "read_binary: format v1 snapshots are no longer read; re-create the "
+        "snapshot from its edge list with: frontier_cli convert graph.txt "
+        "graph.bin");
+  }
+  if (version != kVersion) {
+    throw IoError("read_binary: unsupported version " +
+                  std::to_string(version));
+  }
+  if (bytes.size() < kV2HeaderBytes) {
+    throw IoError("read_binary: truncated header");
+  }
+  V2Header h{};
+  field(16, h.num_vertices);
+  field(24, h.num_directed_edges);
+  field(32, h.num_symmetric_edges);
   if (h.num_vertices > static_cast<std::uint64_t>(kInvalidVertex)) {
     throw IoError("read_binary: vertex count too large");
   }
@@ -271,12 +301,11 @@ void validate_v2_header(const V2Header& h,
   if (h.num_directed_edges > h.num_symmetric_edges) {
     throw IoError("read_binary: directed edge count exceeds symmetric count");
   }
-  if (available.has_value()) {
-    const V2Layout l = v2_layout(h);
-    if (l.total - kV2HeaderBytes > *available) {
-      throw IoError("read_binary: header counts exceed stream size");
-    }
+  if (available.has_value() &&
+      v2_layout(h).total - kV2HeaderBytes > *available) {
+    throw IoError("read_binary: header counts exceed stream size");
   }
+  return h;
 }
 
 /// Bytes left in a seekable stream; nullopt when the stream cannot seek.
@@ -309,117 +338,12 @@ void read_array_chunked(std::istream& is, std::vector<T>& out,
   }
 }
 
-void skip_padding(std::istream& is, std::uint64_t& pos) {
-  while (pos % 8 != 0) {
-    if (is.get() == std::char_traits<char>::eof()) {
-      throw IoError("read_binary: truncated stream");
-    }
-    ++pos;
-  }
-}
-
-Graph read_v1_body(std::istream& is) {
-  const auto n = read_pod<std::uint64_t>(is);
-  const auto m = read_pod<std::uint64_t>(is);
-  if (n > static_cast<std::uint64_t>(kInvalidVertex)) {
-    throw IoError("read_binary: vertex count too large");
-  }
-  if (const auto avail = remaining_bytes(is);
-      avail.has_value() && m > *avail / (2 * sizeof(std::uint32_t))) {
-    throw IoError("read_binary: header counts exceed stream size");
-  }
-  GraphBuilder builder(n);
-  std::vector<std::uint32_t> buf;
-  std::uint64_t done = 0;
-  constexpr std::uint64_t kEdgesPerChunk = std::uint64_t{1} << 20;
-  while (done < m) {
-    const std::uint64_t take = std::min(m - done, kEdgesPerChunk);
-    read_array_chunked(is, buf, take * 2);
-    for (std::uint64_t i = 0; i < take; ++i) {
-      const std::uint32_t u = buf[2 * i];
-      const std::uint32_t v = buf[2 * i + 1];
-      if (u >= n || v >= n) {
-        throw IoError("read_binary: edge endpoint out of range");
-      }
-      builder.add_edge(u, v);
-    }
-    done += take;
-  }
-  return builder.build();
-}
-
-V2Header read_v2_header_tail(std::istream& is) {
-  V2Header h{};
-  h.num_vertices = read_pod<std::uint64_t>(is);
-  h.num_directed_edges = read_pod<std::uint64_t>(is);
-  h.num_symmetric_edges = read_pod<std::uint64_t>(is);
-  return h;
-}
-
-Graph read_v2_body(std::istream& is) {
-  const V2Header h = read_v2_header_tail(is);
-  validate_v2_header(h, remaining_bytes(is));
-
-  GraphStorage::Arrays arrays;
-  arrays.num_directed_edges = h.num_directed_edges;
-  std::uint64_t pos = kV2HeaderBytes;  // header fully consumed, 8-aligned
-  const auto read_array = [&](auto& vec, std::uint64_t count) {
-    skip_padding(is, pos);
-    read_array_chunked(is, vec, count);
-    pos += count * sizeof(typename std::remove_reference_t<
-                          decltype(vec)>::value_type);
-  };
-  read_array(arrays.offsets, h.num_vertices + 1);
-  read_array(arrays.neighbors, h.num_symmetric_edges);
-  read_array(arrays.directions, h.num_symmetric_edges);
-  read_array(arrays.out_degree, h.num_vertices);
-  read_array(arrays.in_degree, h.num_vertices);
-  // The stream path already pays O(n + s); validate the payload's
-  // structure — offset monotonicity, neighbor bounds, strictly increasing
-  // adjacency per vertex (the intersection kernel's precondition),
-  // direction-flag domain, degree sums — so a bit-flipped snapshot
-  // surfaces as IoError, not a downstream crash or a wrong codegree.
-  if (arrays.offsets.front() != 0 ||
-      arrays.offsets.back() != h.num_symmetric_edges ||
-      !std::is_sorted(arrays.offsets.begin(), arrays.offsets.end())) {
-    throw IoError("read_binary: inconsistent offset array");
-  }
-  for (std::uint64_t u = 0; u < h.num_vertices; ++u) {
-    const std::uint64_t begin = arrays.offsets[u];
-    for (std::uint64_t k = begin; k < arrays.offsets[u + 1]; ++k) {
-      const VertexId v = arrays.neighbors[k];
-      if (v >= h.num_vertices) {
-        throw IoError("read_binary: neighbor id out of range");
-      }
-      if (k > begin && v <= arrays.neighbors[k - 1]) {
-        throw IoError("read_binary: unsorted adjacency");
-      }
-    }
-  }
-  for (const EdgeDir d : arrays.directions) {
-    const auto bits = static_cast<std::uint8_t>(d);
-    if (bits < 1 || bits > 3) {
-      throw IoError("read_binary: invalid direction flag");
-    }
-  }
-  std::uint64_t out_sum = 0;
-  std::uint64_t in_sum = 0;
-  for (const std::uint32_t d : arrays.out_degree) out_sum += d;
-  for (const std::uint32_t d : arrays.in_degree) in_sum += d;
-  if (out_sum != h.num_directed_edges || in_sum != h.num_directed_edges) {
-    throw IoError("read_binary: degree arrays disagree with edge count");
-  }
-  return Graph(GraphStorage::from_arrays(std::move(arrays)));
-}
-
 #if FRONTIER_HAS_MMAP
 Graph map_v2_file(MmapFile file, const std::string& path) {
   const std::byte* base = file.data();
-  V2Header h{};
-  std::memcpy(&h.num_vertices, base + 16, sizeof(std::uint64_t));
-  std::memcpy(&h.num_directed_edges, base + 24, sizeof(std::uint64_t));
-  std::memcpy(&h.num_symmetric_edges, base + 32, sizeof(std::uint64_t));
-  validate_v2_header(h, std::nullopt);
+  const V2Header h = decode_v2_header(
+      {base, std::min<std::size_t>(file.size(), kV2HeaderBytes)},
+      std::nullopt);
   const V2Layout l = v2_layout(h);
   if (l.total != file.size()) {
     throw IoError("read_binary: snapshot size mismatch (" + path +
@@ -467,12 +391,6 @@ void note_graph_load(const char* mode, std::chrono::steady_clock::time_point
   reg.histogram("graph.load_bytes").observe(bytes);
   reg.gauge("graph.peak_rss_bytes")
       .set(static_cast<double>(process_usage().peak_rss_bytes));
-}
-
-[[maybe_unused]] std::uint64_t file_size_of(const std::string& path) {
-  std::ifstream f(path, std::ios_base::binary | std::ios_base::ate);
-  const auto size = f.tellg();
-  return (f && size > 0) ? static_cast<std::uint64_t>(size) : 0;
 }
 
 }  // namespace
@@ -540,7 +458,7 @@ void write_binary(const Graph& g, std::ostream& os) {
   const std::uint64_t n = g.num_vertices();
   const std::uint64_t s = g.num_symmetric_edges();
   write_pod(os, kMagic);
-  write_pod<std::uint32_t>(os, 2);  // format version
+  write_pod<std::uint32_t>(os, kVersion);
   write_pod<std::uint32_t>(os, 0);  // reserved (alignment)
   write_pod<std::uint64_t>(os, n);
   write_pod<std::uint64_t>(os, g.num_directed_edges());
@@ -579,36 +497,67 @@ void write_binary_file(const Graph& g, const std::string& path) {
   flush_or_throw(f, "write_binary", path);
 }
 
-void write_binary_v1(const Graph& g, std::ostream& os) {
-  write_pod(os, kMagic);
-  write_pod<std::uint32_t>(os, 1);  // legacy format version
-  write_pod<std::uint64_t>(os, g.num_vertices());
-  write_pod<std::uint64_t>(os, g.num_directed_edges());
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    const auto nbrs = g.neighbors(u);
-    const auto dirs = g.directions(u);
-    for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      const EdgeDir d = dirs[k];
-      if (d == EdgeDir::kForward || d == EdgeDir::kBoth) {
-        write_pod<std::uint32_t>(os, u);
-        write_pod<std::uint32_t>(os, nbrs[k]);
+Graph read_binary(std::istream& is) {
+  std::array<std::byte, kV2HeaderBytes> header{};
+  is.read(reinterpret_cast<char*>(header.data()), header.size());
+  const V2Header h = decode_v2_header(
+      std::span(header).first(static_cast<std::size_t>(is.gcount())),
+      remaining_bytes(is));
+  const V2Layout l = v2_layout(h);
+
+  GraphStorage::Arrays arrays;
+  arrays.num_directed_edges = h.num_directed_edges;
+  std::uint64_t pos = kV2HeaderBytes;
+  const auto read_array = [&](auto& vec, std::uint64_t at,
+                              std::uint64_t count) {
+    const auto padding = static_cast<std::streamsize>(at - pos);
+    if (is.ignore(padding).gcount() != padding) {
+      throw IoError("read_binary: truncated stream");
+    }
+    read_array_chunked(is, vec, count);
+    pos = at + count * sizeof(vec[0]);
+  };
+  read_array(arrays.offsets, l.offsets, h.num_vertices + 1);
+  read_array(arrays.neighbors, l.neighbors, h.num_symmetric_edges);
+  read_array(arrays.directions, l.directions, h.num_symmetric_edges);
+  read_array(arrays.out_degree, l.out_degree, h.num_vertices);
+  read_array(arrays.in_degree, l.in_degree, h.num_vertices);
+  // The stream path already pays O(n + s); validate the payload's
+  // structure — offset monotonicity, neighbor bounds, strictly increasing
+  // adjacency per vertex (the intersection kernel's precondition),
+  // direction-flag domain, degree sums — so a bit-flipped snapshot
+  // surfaces as IoError, not a downstream crash or a wrong codegree.
+  if (arrays.offsets.front() != 0 ||
+      arrays.offsets.back() != h.num_symmetric_edges ||
+      !std::is_sorted(arrays.offsets.begin(), arrays.offsets.end())) {
+    throw IoError("read_binary: inconsistent offset array");
+  }
+  for (std::uint64_t u = 0; u < h.num_vertices; ++u) {
+    const std::uint64_t begin = arrays.offsets[u];
+    for (std::uint64_t k = begin; k < arrays.offsets[u + 1]; ++k) {
+      const VertexId v = arrays.neighbors[k];
+      if (v >= h.num_vertices) {
+        throw IoError("read_binary: neighbor id out of range");
+      }
+      if (k > begin && v <= arrays.neighbors[k - 1]) {
+        throw IoError("read_binary: unsorted adjacency");
       }
     }
   }
-  if (!os) throw IoError("write_binary_v1: stream failure");
-}
-
-Graph read_binary(std::istream& is) {
-  if (read_pod<std::uint64_t>(is) != kMagic) {
-    throw IoError("read_binary: bad magic");
+  for (const EdgeDir d : arrays.directions) {
+    const auto bits = static_cast<std::uint8_t>(d);
+    if (bits < 1 || bits > 3) {
+      throw IoError("read_binary: invalid direction flag");
+    }
   }
-  const auto version = read_pod<std::uint32_t>(is);
-  if (version == 1) return read_v1_body(is);
-  if (version == 2) {
-    (void)read_pod<std::uint32_t>(is);  // reserved
-    return read_v2_body(is);
+  std::uint64_t out_sum = 0;
+  std::uint64_t in_sum = 0;
+  for (const std::uint32_t d : arrays.out_degree) out_sum += d;
+  for (const std::uint32_t d : arrays.in_degree) in_sum += d;
+  if (out_sum != h.num_directed_edges || in_sum != h.num_directed_edges) {
+    throw IoError("read_binary: degree arrays disagree with edge count");
   }
-  throw IoError("read_binary: unsupported version");
+  return Graph(GraphStorage::from_arrays(std::move(arrays)));
 }
 
 Graph read_binary_file(const std::string& path) {
@@ -616,27 +565,14 @@ Graph read_binary_file(const std::string& path) {
   const auto start = std::chrono::steady_clock::now();
 #if FRONTIER_HAS_MMAP
   MmapFile file = MmapFile::open(path);
-  if (file.size() < kV2HeaderBytes) {
-    // Could still be a (short, corrupt) v1 header; the stream path produces
-    // the precise error.
-    auto f = open_in(path, std::ios_base::in | std::ios_base::binary);
-    return read_binary(f);
-  }
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  std::memcpy(&magic, file.data(), sizeof(magic));
-  std::memcpy(&version, file.data() + 8, sizeof(version));
-  if (magic != kMagic) throw IoError("read_binary: bad magic");
-  if (version == 2) {
-    const std::uint64_t bytes = file.size();
-    Graph g = map_v2_file(std::move(file), path);
-    note_graph_load("binary_mmap", start, bytes);
-    return g;
-  }
-#endif
+  const std::uint64_t bytes = file.size();
+  Graph g = map_v2_file(std::move(file), path);
+  note_graph_load("binary_mmap", start, bytes);
+#else
   auto f = open_in(path, std::ios_base::in | std::ios_base::binary);
   Graph g = read_binary(f);
   note_graph_load("binary_stream", start, file_size_of(path));
+#endif
   return g;
 }
 

@@ -6,14 +6,16 @@
 // (negative ids, non-numeric tokens, trailing garbage) raise IoError with
 // the 1-based line number.
 //
-// Binary: format v2 snapshot — a 40-byte header (magic, version, vertex /
-// directed-edge / symmetric-edge counts) followed by the raw little-endian
-// CSR arrays (offsets, neighbors, directions, out/in degrees), each
-// starting on an 8-byte boundary. read_binary_file memory-maps a v2 file
-// and serves the arrays zero-copy, so loading is O(1) in the graph size;
-// header counts are bounds-checked against the file size before anything
-// is touched. Legacy v1 snapshots (per-edge u,v pairs) remain readable
-// through the rebuild path.
+// Binary: format v2 snapshot, the only binary format — a 40-byte header
+// (magic, version, vertex / directed-edge / symmetric-edge counts)
+// followed by the raw little-endian CSR arrays (offsets, neighbors,
+// directions, out/in degrees), each starting on an 8-byte boundary. Both
+// readers decode the header through one function, which checks the magic,
+// the version and the counts before anything else is touched. A format-v1
+// header (per-edge u,v pairs, no longer read) is refused with an IoError
+// that says to re-create the snapshot from its edge list with
+// `frontier_cli convert`. read_binary_file memory-maps the file and serves
+// the arrays zero-copy, so loading is O(1) in the graph size.
 #pragma once
 
 #include <cstddef>
@@ -42,16 +44,15 @@ void write_edge_list_file(const Graph& g, const std::string& path);
 void write_binary(const Graph& g, std::ostream& os);
 void write_binary_file(const Graph& g, const std::string& path);
 
-/// Legacy format-v1 writer (per-edge u,v pairs). Kept so migration tooling
-/// and tests can produce v1 inputs; new snapshots should be v2.
-void write_binary_v1(const Graph& g, std::ostream& os);
-
-/// Reads a v1 or v2 snapshot from a stream (always into owned arrays).
+/// Reads a snapshot from a stream into owned arrays, checking the payload's
+/// structure (offsets, neighbor range, sorted adjacency, direction flags,
+/// degree sums) as it goes. Throws IoError on any violation.
 [[nodiscard]] Graph read_binary(std::istream& is);
 
-/// Reads a snapshot file. v2 files are memory-mapped zero-copy (O(1) load;
-/// Graph::is_memory_mapped() reports true); v1 files go through the legacy
-/// rebuild path. Header counts are validated against the file size first.
+/// Reads a snapshot file. Where mmap exists the file is mapped zero-copy
+/// (O(1) load; Graph::is_memory_mapped() reports true): the header counts
+/// must match the file size exactly, and the array contents are trusted.
+/// Elsewhere the file goes through read_binary.
 [[nodiscard]] Graph read_binary_file(const std::string& path);
 
 }  // namespace frontier

@@ -40,14 +40,25 @@ void ingest_rows(EstimatorSink& sink, std::size_t count, Push push) {
 
 void ingest_sample(EstimatorSink& sink, const Graph& g,
                    std::span<const Edge> edges) {
+  const std::size_t n = g.num_vertices();
   ingest_rows(sink, edges.size(), [&](StreamEventBlock& block, std::size_t i) {
-    block.push_edge(edges[i].u, edges[i].v, g.degree(edges[i].v));
+    const Edge e = edges[i];
+    if (e.u >= n || e.v >= n) {
+      throw std::out_of_range("ingest_sample: edge endpoint outside the graph");
+    }
+    block.push_edge(e.u, e.v, g.degree(e.v));
   });
 }
 
-void ingest_sample(EstimatorSink& sink, std::span<const VertexId> vertices) {
+void ingest_sample(EstimatorSink& sink, const Graph& g,
+                   std::span<const VertexId> vertices) {
+  const std::size_t n = g.num_vertices();
   ingest_rows(sink, vertices.size(),
               [&](StreamEventBlock& block, std::size_t i) {
+                if (vertices[i] >= n) {
+                  throw std::out_of_range(
+                      "ingest_sample: vertex outside the graph");
+                }
                 block.push_vertex(vertices[i]);
               });
 }

@@ -200,11 +200,14 @@ using SinkSet = std::vector<std::unique_ptr<EstimatorSink>>;
 /// blocks of default_block_capacity() rows (the last one shorter), each
 /// row an edge carrying deg(v) in `g` as the ingest_block contract
 /// requires. The rows go through one block per thread, reused across
-/// calls, so a call allocates nothing after the thread's first.
+/// calls, so a call allocates nothing after the thread's first. Throws
+/// std::out_of_range at the first edge with an endpoint >= g.num_vertices()
+/// (the blocks before it are already folded).
 void ingest_sample(EstimatorSink& sink, const Graph& g,
                    std::span<const Edge> edges);
 
-/// Same for a uniform vertex sample: one vertex row per element.
-void ingest_sample(EstimatorSink& sink, std::span<const VertexId> vertices);
+/// Same for a uniform vertex sample of `g`: one vertex row per element.
+void ingest_sample(EstimatorSink& sink, const Graph& g,
+                   std::span<const VertexId> vertices);
 
 }  // namespace frontier

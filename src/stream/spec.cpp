@@ -98,19 +98,29 @@ SinkSet CrawlSpec::make_sinks(const Graph& g) const {
   return sinks;
 }
 
+CrawlSpec::Roster CrawlSpec::roster(
+    std::span<const std::unique_ptr<EstimatorSink>> sinks) {
+  // Positions mirror make_sinks.
+  return Roster{
+      .degree_distribution =
+          static_cast<const DegreeDistributionSink*>(sinks[0].get()),
+      .assortativity = static_cast<const AssortativitySink*>(sinks[1].get()),
+      .moments = static_cast<const GraphMomentsSink*>(sinks[2].get()),
+      .uniform_degree = static_cast<const UniformDegreeSink*>(sinks[3].get()),
+      .triangles = static_cast<const TriangleSink*>(sinks[4].get()),
+      .clustering = static_cast<const ClusteringSink*>(sinks[5].get()),
+      .motifs = sinks.size() > 6
+                    ? static_cast<const MotifSink*>(sinks[6].get())
+                    : nullptr};
+}
+
 std::unique_ptr<StreamEngine> CrawlSpec::make_engine(const Graph& g) const {
   return std::make_unique<StreamEngine>(make_cursor(g), make_sinks(g));
 }
 
 std::string estimates_fields(const CrawlSpec& spec,
                              const StreamEngine& engine) {
-  // Indices mirror make_sinks's roster order.
-  const auto sinks = engine.sinks();
-  const auto* assort = static_cast<const AssortativitySink*>(sinks[1].get());
-  const auto* moments = static_cast<const GraphMomentsSink*>(sinks[2].get());
-  const auto* uniform = static_cast<const UniformDegreeSink*>(sinks[3].get());
-  const auto* triangles = static_cast<const TriangleSink*>(sinks[4].get());
-  const auto* clustering = static_cast<const ClusteringSink*>(sinks[5].get());
+  const CrawlSpec::Roster sinks = CrawlSpec::roster(engine.sinks());
 
   const Graph& g = engine.cursor().graph();
   const double vol = static_cast<double>(g.volume());
@@ -125,17 +135,17 @@ std::string estimates_fields(const CrawlSpec& spec,
     out += json::number(value);
   };
   if (spec.method == "mh") {
-    field("avg_degree_uniform", uniform->value());
+    field("avg_degree_uniform", sinks.uniform_degree->value());
   } else {
-    field("avg_degree", moments->average_degree());
-    field("volume", moments->volume(static_cast<double>(g.num_vertices())));
-    field("assortativity", assort->value());
-    field("triangles", triangles->triangle_count(vol));
-    field("transitivity", triangles->transitivity());
-    field("clustering", clustering->global_clustering());
+    field("avg_degree", sinks.moments->average_degree());
+    field("volume",
+          sinks.moments->volume(static_cast<double>(g.num_vertices())));
+    field("assortativity", sinks.assortativity->value());
+    field("triangles", sinks.triangles->triangle_count(vol));
+    field("transitivity", sinks.triangles->transitivity());
+    field("clustering", sinks.clustering->global_clustering());
     if (spec.motifs) {
-      const auto* motifs = static_cast<const MotifSink*>(sinks[6].get());
-      const MotifEstimate est = motifs->estimate(vol);
+      const MotifEstimate est = sinks.motifs->estimate(vol);
       field("wedge", est.wedge);
       field("path4", est.path4);
       field("claw", est.claw);

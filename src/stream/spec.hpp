@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,10 @@
 #include "stream/sinks.hpp"
 
 namespace frontier {
+
+class TriangleSink;
+class ClusteringSink;
+class MotifSink;
 
 struct CrawlSpec {
   std::string method = "fs";  ///< fs | srw | mrw | mh | rwj
@@ -55,6 +60,21 @@ struct CrawlSpec {
   /// graph moments, uniform degree, triangles, clustering, then (iff
   /// `motifs`) the motif census.
   [[nodiscard]] SinkSet make_sinks(const Graph& g) const;
+
+  /// Typed views of a make_sinks roster, by position; `motifs` is null
+  /// when the roster has no motif sink.
+  struct Roster {
+    const DegreeDistributionSink* degree_distribution;
+    const AssortativitySink* assortativity;
+    const GraphMomentsSink* moments;
+    const UniformDegreeSink* uniform_degree;
+    const TriangleSink* triangles;
+    const ClusteringSink* clustering;
+    const MotifSink* motifs;
+  };
+  /// `sinks` must have been built by make_sinks (e.g. an engine's sinks()).
+  [[nodiscard]] static Roster roster(
+      std::span<const std::unique_ptr<EstimatorSink>> sinks);
 
   /// make_cursor + make_sinks wired into an engine.
   [[nodiscard]] std::unique_ptr<StreamEngine> make_engine(

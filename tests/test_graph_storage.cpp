@@ -1,10 +1,12 @@
-// GraphStorage backends: owned-vs-mmap equivalence, v1 -> v2 migration,
-// storage sharing across Graph copies, and the parallel ingestion helpers.
+// GraphStorage backends: owned-vs-mmap equivalence, the refusal of v1
+// snapshot files, storage sharing across Graph copies, and the parallel
+// ingestion helpers.
 #include "graph/storage.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -75,30 +77,32 @@ TEST(GraphStorage, StreamReadOfV2IsOwnedAndEquivalent) {
   expect_identical(g, loaded);
 }
 
-TEST(GraphStorage, V1ToV2Migration) {
-  const Graph g = make_test_graph(13);
-  const std::string v1_path = ::testing::TempDir() + "migrate_v1.bin";
-  const std::string v2_path = ::testing::TempDir() + "migrate_v2.bin";
-
-  // Legacy v1 snapshot loads through the rebuild path (never mapped).
+TEST(GraphStorage, V1FileIsRefusedWithConvertHint) {
+  // A format-v1 file (magic, version 1, n, m, then u,v pairs) is not read
+  // any more: read_binary_file refuses it and names the command that
+  // re-creates the snapshot from its edge list.
+  const std::string path = ::testing::TempDir() + "refused_v1.bin";
   {
-    std::ofstream f(v1_path, std::ios::binary);
-    write_binary_v1(g, f);
+    std::ofstream f(path, std::ios::binary);
+    const std::uint64_t magic = 0x46524f4e54474230ULL;
+    const std::uint32_t version = 1;
+    const std::uint64_t n = 2;
+    const std::uint64_t m = 1;
+    const std::uint32_t edge[2] = {0, 1};
+    f.write(reinterpret_cast<const char*>(&magic), 8);
+    f.write(reinterpret_cast<const char*>(&version), 4);
+    f.write(reinterpret_cast<const char*>(&n), 8);
+    f.write(reinterpret_cast<const char*>(&m), 8);
+    f.write(reinterpret_cast<const char*>(edge), 8);
   }
-  const Graph from_v1 = read_binary_file(v1_path);
-  EXPECT_FALSE(from_v1.is_memory_mapped());
-  expect_identical(g, from_v1);
-
-  // Migrating: rewrite as v2, reload zero-copy.
-  write_binary_file(from_v1, v2_path);
-  const Graph from_v2 = read_binary_file(v2_path);
-#if FRONTIER_HAS_MMAP
-  EXPECT_TRUE(from_v2.is_memory_mapped());
-#endif
-  expect_identical(g, from_v2);
-
-  std::filesystem::remove(v1_path);
-  std::filesystem::remove(v2_path);
+  try {
+    (void)read_binary_file(path);
+    ADD_FAILURE() << "expected IoError";
+  } catch (const IoError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("frontier_cli convert"), std::string::npos) << msg;
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(GraphStorage, CopiesShareStorageAndOutliveTheOriginal) {

@@ -19,6 +19,7 @@
 #include "stream/motif_sinks.hpp"
 #include "stream/sampler_cursors.hpp"
 #include "stream/sinks.hpp"
+#include "stream/spec.hpp"
 
 namespace frontier {
 namespace {
@@ -29,16 +30,7 @@ Graph test_graph() {
 }
 
 SinkSet make_sinks(const Graph& g) {
-  SinkSet sinks;
-  sinks.push_back(
-      std::make_unique<DegreeDistributionSink>(g, DegreeKind::kSymmetric));
-  sinks.push_back(std::make_unique<AssortativitySink>(g));
-  sinks.push_back(std::make_unique<GraphMomentsSink>(g));
-  sinks.push_back(std::make_unique<UniformDegreeSink>(g));
-  sinks.push_back(std::make_unique<TriangleSink>(g));
-  sinks.push_back(std::make_unique<ClusteringSink>(g));
-  sinks.push_back(std::make_unique<MotifSink>(g));
-  return sinks;
+  return CrawlSpec{.motifs = true}.make_sinks(g);
 }
 
 struct FinalState {
@@ -56,17 +48,14 @@ struct FinalState {
 
 FinalState capture(const StreamEngine& engine) {
   FinalState s;
-  const auto sinks = engine.sinks();
-  s.distribution =
-      dynamic_cast<const DegreeDistributionSink&>(*sinks[0]).distribution();
-  s.assortativity = dynamic_cast<const AssortativitySink&>(*sinks[1]).value();
-  s.average_degree =
-      dynamic_cast<const GraphMomentsSink&>(*sinks[2]).average_degree();
-  s.uniform_degree = dynamic_cast<const UniformDegreeSink&>(*sinks[3]).value();
-  s.transitivity = dynamic_cast<const TriangleSink&>(*sinks[4]).transitivity();
-  s.clustering =
-      dynamic_cast<const ClusteringSink&>(*sinks[5]).global_clustering();
-  s.motifs = dynamic_cast<const MotifSink&>(*sinks[6]).estimate(1000.0);
+  const CrawlSpec::Roster sinks = CrawlSpec::roster(engine.sinks());
+  s.distribution = sinks.degree_distribution->distribution();
+  s.assortativity = sinks.assortativity->value();
+  s.average_degree = sinks.moments->average_degree();
+  s.uniform_degree = sinks.uniform_degree->value();
+  s.transitivity = sinks.triangles->transitivity();
+  s.clustering = sinks.clustering->global_clustering();
+  s.motifs = sinks.motifs->estimate(1000.0);
   s.cost = engine.cursor().cost();
   s.events = engine.events();
   s.rng_state = engine.cursor().rng().state();

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "estimators/assortativity.hpp"
 #include "estimators/clustering.hpp"
 #include "estimators/degree_distribution.hpp"
 #include "estimators/density.hpp"
@@ -291,6 +292,32 @@ TEST(StreamSinks, IngestSampleReusedBlockMatchesFreshThread) {
     EXPECT_EQ(reused[i].clustering, expected[i]->clustering) << "call " << i;
     EXPECT_EQ(reused[i].degrees, expected[i]->degrees) << "call " << i;
   }
+}
+
+TEST(StreamSinks, IngestSampleRejectsIdsOutsideTheGraph) {
+  // A sample taken on a 500-vertex graph, folded over a 60-vertex one:
+  // ingest_sample must throw before it reads a degree past the CSR.
+  Rng rng_small(3);
+  Rng rng_big(4);
+  const Graph small = barabasi_albert(60, 2, rng_small);
+  const Graph big = barabasi_albert(500, 2, rng_big);
+  std::vector<Edge> edges;
+  for (VertexId u = 0; u < big.num_vertices(); ++u) {
+    for (const VertexId v : big.neighbors(u)) edges.push_back(Edge{u, v});
+  }
+  EXPECT_THROW((void)estimate_assortativity(small, edges), std::out_of_range);
+  EXPECT_THROW((void)estimate_global_clustering(small, edges),
+               std::out_of_range);
+  // Each endpoint is checked on its own.
+  const std::vector<Edge> u_outside = {Edge{499, 0}};
+  const std::vector<Edge> v_outside = {Edge{0, 499}};
+  EXPECT_THROW((void)estimate_assortativity(small, u_outside),
+               std::out_of_range);
+  EXPECT_THROW((void)estimate_global_clustering(small, v_outside),
+               std::out_of_range);
+  const std::vector<VertexId> vertices = {0, 1, 499};
+  EXPECT_THROW((void)estimate_average_degree_uniform(small, vertices),
+               std::out_of_range);
 }
 
 }  // namespace

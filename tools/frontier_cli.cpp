@@ -197,15 +197,7 @@ int cmd_stream(const ParsedArgs& args) {
 
   const std::unique_ptr<StreamEngine> engine_ptr = spec.make_engine(g);
   StreamEngine& engine = *engine_ptr;
-  // Typed views into the fixed sink roster (see CrawlSpec::make_sinks).
-  const auto& sinks = engine.sinks();
-  const auto* assort = static_cast<const AssortativitySink*>(sinks[1].get());
-  const auto* moments = static_cast<const GraphMomentsSink*>(sinks[2].get());
-  const auto* uniform = static_cast<const UniformDegreeSink*>(sinks[3].get());
-  const auto* triangles = static_cast<const TriangleSink*>(sinks[4].get());
-  const auto* clustering = static_cast<const ClusteringSink*>(sinks[5].get());
-  const auto* motifs =
-      spec.motifs ? static_cast<const MotifSink*>(sinks[6].get()) : nullptr;
+  const CrawlSpec::Roster sinks = CrawlSpec::roster(engine.sinks());
 
   // Telemetry rides outside the sampling loop (see obs/crawl_metrics.hpp):
   // attaching it never touches the RNG stream or the sink accumulators.
@@ -267,8 +259,8 @@ int cmd_stream(const ParsedArgs& args) {
             static_cast<double>(engine.events() - resumed_events) /
             std::max(run_seconds, 1e-9);
         const double est_deg = spec.method == "mh"
-                                   ? uniform->value()
-                                   : moments->average_degree();
+                                   ? sinks.uniform_degree->value()
+                                   : sinks.moments->average_degree();
         const double drift =
             exact_deg > 0.0 ? (est_deg - exact_deg) / exact_deg : 0.0;
         std::cerr << "progress: events=" << engine.events() << " ("
@@ -318,28 +310,33 @@ int cmd_stream(const ParsedArgs& args) {
             << " events/s this run)\n\n";
   TextTable table({"characteristic", "estimate", "exact"});
   if (spec.method == "mh") {
-    table.add_row({"avg degree", format_number(uniform->value()),
+    table.add_row({"avg degree",
+                   format_number(sinks.uniform_degree->value()),
                    format_number(g.average_degree())});
   } else {
-    table.add_row({"avg degree", format_number(moments->average_degree()),
+    table.add_row({"avg degree",
+                   format_number(sinks.moments->average_degree()),
                    format_number(g.average_degree())});
     table.add_row(
         {"volume",
          format_number(
-             moments->volume(static_cast<double>(g.num_vertices()))),
+             sinks.moments->volume(static_cast<double>(g.num_vertices()))),
          format_number(static_cast<double>(g.volume()))});
-    table.add_row({"assortativity", format_number(assort->value()),
+    table.add_row({"assortativity",
+                   format_number(sinks.assortativity->value()),
                    format_number(exact_assortativity(g))});
     const double vol = static_cast<double>(g.volume());
     table.add_row(
-        {"triangles", format_number(triangles->triangle_count(vol)),
+        {"triangles", format_number(sinks.triangles->triangle_count(vol)),
          format_number(static_cast<double>(exact_triangle_count(g)))});
-    table.add_row({"transitivity", format_number(triangles->transitivity()),
+    table.add_row({"transitivity",
+                   format_number(sinks.triangles->transitivity()),
                    format_number(exact_transitivity(g))});
-    table.add_row({"clustering", format_number(clustering->global_clustering()),
+    table.add_row({"clustering",
+                   format_number(sinks.clustering->global_clustering()),
                    format_number(exact_global_clustering(g))});
-    if (motifs != nullptr) {
-      const MotifEstimate est = motifs->estimate(vol);
+    if (sinks.motifs != nullptr) {
+      const MotifEstimate est = sinks.motifs->estimate(vol);
       const MotifCounts want = exact_motif_counts(g);
       const auto row = [&](const char* label, double e, std::uint64_t w) {
         table.add_row({label, format_number(e),
