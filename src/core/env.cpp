@@ -74,4 +74,8 @@ std::uint64_t env_u64(const std::string& name, std::uint64_t fallback,
   return static_cast<std::uint64_t>(value);
 }
 
+std::size_t env_threads() {
+  return static_cast<std::size_t>(env_u64("FS_THREADS", 0));
+}
+
 }  // namespace frontier

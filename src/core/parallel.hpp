@@ -1,13 +1,24 @@
 // Thread-count resolution and data-parallel building blocks shared by the
-// graph ingestion path (parallel edge-list parsing, CSR construction) and
-// the experiment ReplicationRunner. Header-only: every helper degrades to the
-// sequential algorithm when one worker is resolved, so results never depend
-// on the thread count.
+// graph ingestion path (parallel edge-list parsing, CSR construction), the
+// streaming codegree fill and the experiment ReplicationRunner. Every
+// helper degrades to the sequential algorithm when one worker is resolved,
+// so results never depend on the thread count.
+//
+// parallel_for_ranges is the only way into the library's one worker pool
+// (core/parallel.cpp): a process-wide set of threads started on first use,
+// grown to the largest worker count any call asks for, reused by every
+// later call and joined at exit. Worker slot w of a call always runs on
+// the pool's thread w (the caller is slot 0), so a worker's thread_local
+// state lives as long as the pool. One call owns the pool at a time: a
+// call made from inside a running call (by the caller's own slot or by a
+// worker) or from another thread while the pool is owned runs all its
+// partitions inline, in order, on the calling thread. Nesting therefore
+// cannot deadlock, and concurrent callers get the same partitions, hence
+// the same results, as a serial caller.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <exception>
 #include <iterator>
 #include <thread>
 #include <vector>
@@ -22,11 +33,36 @@ namespace frontier {
   return std::max(1u, hw);
 }
 
+/// resolve_threads(env_threads()), i.e. the FS_THREADS knob with 0 or
+/// unset meaning hardware concurrency, read once per process (the
+/// hardware query reads /sys on every call, too slow for a per-block
+/// caller). A malformed FS_THREADS throws std::invalid_argument.
+[[nodiscard]] std::size_t default_thread_count();
+
+namespace detail {
+
+/// A parallel_for_ranges body with its type erased: call(body, w, b, e).
+struct RangeBody {
+  void (*call)(const void* body, std::size_t worker, std::size_t begin,
+               std::size_t end);
+  const void* body;
+};
+
+/// Runs the `workers` >= 2 partitions of [0, total) on the pool, or
+/// inline when the pool is owned; rethrows the lowest worker's exception.
+void run_partitions(std::size_t total, std::size_t workers, RangeBody body);
+
+}  // namespace detail
+
 /// Runs body(worker, begin, end) over a static block partition of
-/// [0, total) on `workers` threads. Blocks are contiguous and in worker
-/// order, so per-worker outputs can be concatenated deterministically.
-/// An exception thrown by any worker is rethrown here (the lowest worker's
-/// wins), matching the sequential path instead of std::terminate.
+/// [0, total) on `workers` workers: worker w gets [total*w/workers,
+/// total*(w+1)/workers). Blocks are contiguous and in worker order, so
+/// per-worker outputs can be concatenated deterministically. workers == 1
+/// runs on the caller; otherwise the caller runs partition 0 and the pool
+/// the rest (or the caller all of them, inline, as the file comment
+/// says). Every partition runs even when one throws; the lowest worker's
+/// exception is then rethrown here, matching the sequential path instead
+/// of std::terminate.
 template <typename Body>
 void parallel_for_ranges(std::size_t total, std::size_t workers,
                          const Body& body) {
@@ -35,24 +71,12 @@ void parallel_for_ranges(std::size_t total, std::size_t workers,
     body(std::size_t{0}, std::size_t{0}, total);
     return;
   }
-  std::vector<std::exception_ptr> errors(workers);
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t begin = total * w / workers;
-    const std::size_t end = total * (w + 1) / workers;
-    pool.emplace_back([&body, &errors, w, begin, end] {
-      try {
-        body(w, begin, end);
-      } catch (...) {
-        errors[w] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  detail::run_partitions(
+      total, workers,
+      {[](const void* b, std::size_t w, std::size_t begin, std::size_t end) {
+         (*static_cast<const Body*>(b))(w, begin, end);
+       },
+       &body});
 }
 
 /// Sorts [first, last) with `comp` using block sort + pairwise merges.
@@ -62,7 +86,8 @@ void parallel_for_ranges(std::size_t total, std::size_t workers,
 template <typename It, typename Comp>
 void parallel_sort(It first, It last, Comp comp, std::size_t threads = 0) {
   const auto n = static_cast<std::size_t>(std::distance(first, last));
-  // Below ~64k elements thread startup dominates; just sort in place.
+  // Below ~64k elements a worker's share is too small to pay its wake-up;
+  // just sort in place.
   constexpr std::size_t kMinPerWorker = std::size_t{1} << 16;
   std::size_t workers = std::min(resolve_threads(threads),
                                  std::max<std::size_t>(n / kMinPerWorker, 1));

@@ -22,7 +22,7 @@ ExperimentConfig ExperimentConfig::from_env() {
     throw std::invalid_argument("FS_SCALE must be >= 0, got " +
                                 std::to_string(cfg.scale_multiplier));
   }
-  cfg.threads = static_cast<std::size_t>(env_u64("FS_THREADS", 0));
+  cfg.threads = env_threads();
   cfg.seed = env_u64("FS_SEED", 20100907);
   return cfg;
 }

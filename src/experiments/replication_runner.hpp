@@ -4,7 +4,7 @@
 // replications. ReplicationRunner fans those replications across worker
 // threads with run r always drawing from the RNG substream
 // Rng(seed).split_stream(r), and materializes per-run results in run-index
-// slots that are reduced in run order after the pool joins. Scheduling is
+// slots that are reduced in run order after the pool drains. Scheduling is
 // therefore free to be dynamic (an atomic work queue balances uneven run
 // costs), while the output — including every floating-point rounding — is
 // bit-identical for any thread count, which tests/test_replication_runner
@@ -28,7 +28,7 @@ namespace frontier {
 class ReplicationRunner {
  public:
   /// `threads` resolves like resolve_threads(); the worker count is also
-  /// capped at the run count so tiny experiments never spawn idle threads.
+  /// capped at the run count so tiny experiments never wake idle workers.
   ReplicationRunner(std::size_t runs, std::uint64_t seed,
                     std::size_t threads = 0)
       : runs_(runs),
@@ -50,10 +50,12 @@ class ReplicationRunner {
   /// carries *scratch*, never results: runs scheduled onto the same slot
   /// must not communicate through it. Runs are processed in fixed-size
   /// chunks (kReduceChunk — a constant, so the fold order never depends
-  /// on the thread count), each on a fresh parallel_for_ranges pool, so
-  /// thread_local state (ingest_sample's event block) lives for one
-  /// chunk's pool thread. Each chunk's slots are released after folding:
-  /// transient memory is O(chunk * result), not O(runs * result).
+  /// on the thread count), each dispatched on the process-wide pool of
+  /// parallel_for_ranges, where worker slot w is the same thread in every
+  /// chunk and every call, so thread_local state (ingest_sample's event
+  /// block, the intersection kernel's marks) lives as long as the pool
+  /// and is built once per thread. Each chunk's slots are released after
+  /// folding: transient memory is O(chunk * result), not O(runs * result).
   template <typename Acc, typename Body, typename Fold>
   [[nodiscard]] Acc map_reduce(Acc init, const Body& body,
                                const Fold& fold) const {

@@ -23,9 +23,14 @@
 // both: GraphBuilder sorts and deduplicates, and the v2 stream loader
 // rejects unsorted lists and out-of-range ids (graph/io.cpp).
 //
+// MarkedSet is the mark half on its own, for a caller that probes many
+// lists against one (MotifSink's C4 term marks N(v) once per edge row and
+// probes N(x) for every x in N(u)); the kernel's mark path uses it too.
+//
 // The marks are thread_local, grow to the largest n the thread has seen,
-// and are all zero whenever no intersection is running on the thread,
-// also after on_match throws. on_match must not itself intersect.
+// and are all zero whenever no intersection and no MarkedSet is live on
+// the thread, also after on_match throws. on_match must not itself
+// intersect.
 #pragma once
 
 #include <cstddef>
@@ -61,7 +66,66 @@ inline const VertexId* lower_bound_branchless(const VertexId* base,
   return base + (*base < x);
 }
 
+/// Calls on_match(x) for every x in a ∩ b, ascending, where a is under
+/// 1/kGallopRatio of b: a branchless binary search of each element of a
+/// over the unsearched tail of b.
+template <class OnMatch>
+void gallop(std::span<const VertexId> a, std::span<const VertexId> b,
+            OnMatch&& on_match) {
+  const std::size_t nl = b.size();
+  std::size_t j = 0;
+  for (const VertexId x : a) {
+    j = static_cast<std::size_t>(
+        lower_bound_branchless(b.data() + j, nl - j, x) - b.data());
+    if (j == nl) return;
+    const bool hit = b[j] == x;
+    if (hit) on_match(x);
+    j += hit;
+  }
+}
+
 }  // namespace detail
+
+/// A strictly ascending id list marked in this thread's mark array for
+/// the object's lifetime, so many lists can be probed against it at one
+/// marking's cost. Every id < n. The destructor clears the marks, so they
+/// are all zero again on every exit, also when a probe's caller throws.
+/// The marks are the kernel's own: no other intersection may run on the
+/// thread while a MarkedSet lives.
+class MarkedSet {
+ public:
+  MarkedSet(std::size_t n, std::span<const VertexId> ids)
+      : marks_(detail::intersect_marks(n)), ids_(ids) {
+    for (const VertexId x : ids_) marks_[x] = 1;
+  }
+  ~MarkedSet() {
+    for (const VertexId x : ids_) marks_[x] = 0;
+  }
+  MarkedSet(const MarkedSet&) = delete;
+  MarkedSet& operator=(const MarkedSet&) = delete;
+
+  [[nodiscard]] bool contains(VertexId x) const noexcept {
+    return marks_[x] != 0;
+  }
+
+  /// |ids ∩ b| for b strictly ascending, every id < n: one probe per
+  /// element of b, or a gallop of the marked ids through b when b is more
+  /// than kGallopRatio times longer.
+  [[nodiscard]] std::uint32_t count_in(
+      std::span<const VertexId> b) const noexcept {
+    std::uint32_t count = 0;
+    if (ids_.size() * kGallopRatio < b.size()) {
+      detail::gallop(ids_, b, [&count](VertexId) { ++count; });
+    } else {
+      for (const VertexId y : b) count += contains(y) ? 1 : 0;
+    }
+    return count;
+  }
+
+ private:
+  std::uint8_t* marks_;
+  std::span<const VertexId> ids_;
+};
 
 /// Calls on_match(x) for every x in a ∩ b, ascending. a and b strictly
 /// ascending, every id < n.
@@ -71,31 +135,12 @@ void intersect_sorted(std::size_t n, std::span<const VertexId> a,
   if (a.size() > b.size()) std::swap(a, b);
   if (a.empty()) return;
   if (a.size() * kGallopRatio < b.size()) {
-    const std::size_t nl = b.size();
-    std::size_t j = 0;
-    for (const VertexId x : a) {
-      j = static_cast<std::size_t>(
-          detail::lower_bound_branchless(b.data() + j, nl - j, x) - b.data());
-      if (j == nl) return;
-      const bool hit = b[j] == x;
-      if (hit) on_match(x);
-      j += hit;
-    }
+    detail::gallop(a, b, on_match);
     return;
   }
-  // Clears the marks on every exit, so a throwing on_match cannot leave
-  // stale bytes for the thread's next intersection.
-  struct Unmark {
-    std::uint8_t* marks;
-    std::span<const VertexId> ids;
-    ~Unmark() {
-      for (const VertexId x : ids) marks[x] = 0;
-    }
-  } unmark{detail::intersect_marks(n), a};
-  std::uint8_t* marks = unmark.marks;
-  for (const VertexId x : a) marks[x] = 1;
+  const MarkedSet marked(n, a);
   for (const VertexId y : b) {
-    if (marks[y] != 0) on_match(y);
+    if (marked.contains(y)) on_match(y);
   }
 }
 

@@ -522,6 +522,13 @@ Graph read_binary(std::istream& is) {
   read_array(arrays.directions, l.directions, h.num_symmetric_edges);
   read_array(arrays.out_degree, l.out_degree, h.num_vertices);
   read_array(arrays.in_degree, l.in_degree, h.num_vertices);
+  // The mmap path refuses a file of any other size than l.total, so the
+  // stream path refuses bytes past the last array too.
+  if (is.peek() != std::char_traits<char>::eof()) {
+    throw IoError(
+        "read_binary: snapshot size mismatch (bytes after the in-degree "
+        "array)");
+  }
   // The stream path already pays O(n + s); validate the payload's
   // structure — offset monotonicity, neighbor bounds, strictly increasing
   // adjacency per vertex (the intersection kernel's precondition),

@@ -46,7 +46,9 @@ void write_binary_file(const Graph& g, const std::string& path);
 
 /// Reads a snapshot from a stream into owned arrays, checking the payload's
 /// structure (offsets, neighbor range, sorted adjacency, direction flags,
-/// degree sums) as it goes. Throws IoError on any violation.
+/// degree sums) as it goes. Throws IoError on any violation, and on any
+/// byte after the last array ("snapshot size mismatch", as the mapped
+/// path refuses a file of the wrong size).
 [[nodiscard]] Graph read_binary(std::istream& is);
 
 /// Reads a snapshot file. Where mmap exists the file is mapped zero-copy

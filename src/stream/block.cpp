@@ -1,8 +1,10 @@
 #include "stream/block.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/env.hpp"
+#include "core/parallel.hpp"
 #include "graph/graph.hpp"
 #include "graph/metrics.hpp"
 
@@ -35,13 +37,28 @@ std::span<const std::uint32_t> StreamEventBlock::codegree(
     codegree_rows_ = 0;
   }
   if (codegree_.size() < size_) codegree_.resize(size_);
+  // Each row's value depends on that row alone, so the rows split into
+  // contiguous ranges on the pool without changing a single value.
+  const std::size_t first = codegree_rows_;
+  const std::size_t rows = size_ - first;
+  parallel_for_ranges(
+      rows, std::min(default_thread_count(), rows / kMinRowsPerWorker),
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        fill_codegree(g, first + begin, first + end);
+      });
+  codegree_rows_ = size_;
+  return {codegree_.data(), size_};
+}
+
+void StreamEventBlock::fill_codegree(const Graph& g, std::size_t begin,
+                                     std::size_t end) const {
   // Prefetch the adjacency of the edge row kAhead rows on: the
   // intersection of row i then overlaps the memory latency of row
   // i + kAhead.
   constexpr std::size_t kAhead = 8;
-  for (std::size_t i = codegree_rows_; i < size_; ++i) {
+  for (std::size_t i = begin; i < end; ++i) {
     const std::size_t j = i + kAhead;
-    if (j < size_ && (flags_[j] & kHasEdge)) {
+    if (j < end && (flags_[j] & kHasEdge)) {
       g.prefetch_neighbors(u_[j]);
       g.prefetch_neighbors(v_[j]);
     }
@@ -49,8 +66,6 @@ std::span<const std::uint32_t> StreamEventBlock::codegree(
       codegree_[i] = shared_neighbors(g, u_[i], v_[i]);
     }
   }
-  codegree_rows_ = size_;
-  return {codegree_.data(), size_};
 }
 
 std::span<const std::uint32_t> StreamEventBlock::pick(const Graph& g) const {

@@ -30,8 +30,10 @@
 // Two columns are derived, under one memo rule: the codegree f(u,v) =
 // |N(u) ∩ N(v)|, which no cursor writes (the first sink that reads it
 // after a fill runs the intersection kernel, graph/intersect.hpp, for
-// every edge row), and the pick, which a cursor writes but a reader may
-// have to locate. Every later reader of the same fill gets the same span.
+// every edge row, split by row ranges across the worker pool when the
+// fill is large; see kMinRowsPerWorker), and the pick, which a cursor
+// writes but a reader may have to locate. Every later reader of the same
+// fill gets the same span.
 // Each memo is keyed on the graph and on the number of rows already
 // derived: clear() resets it (so push_* pays nothing for it), a read
 // after appends derives only the new rows, and a read with another graph
@@ -68,6 +70,15 @@ namespace frontier {
 /// thousand rows a larger block buys nothing, and an unbounded knob turns
 /// a typo into an allocation failure.
 inline constexpr std::uint64_t kMaxBlockCapacity = std::uint64_t{1} << 20;
+
+/// Fewest codegree rows a fill hands to one worker: a fill of r new rows
+/// runs on min(default_thread_count(), r / kMinRowsPerWorker) workers of
+/// the pool (core/parallel.hpp), so fills under 2 * kMinRowsPerWorker
+/// rows stay on the calling thread. A fixed property of the fill, not a
+/// tuning knob: a 1024-row share is ≈ 75 µs of intersections on a
+/// 200k-vertex BA graph, about ten times a pool dispatch (≈ 8 µs, see
+/// docs/BENCHMARKS.md "Worker pool").
+inline constexpr std::size_t kMinRowsPerWorker = 1024;
 
 class Graph;
 
@@ -154,13 +165,18 @@ class StreamEventBlock {
   }
   /// Codegree |N(u) ∩ N(v)| in g, valid on edge rows; memoised as the
   /// file comment says. The memo makes this const call a write, so one
-  /// thread at a time may read a block.
+  /// thread at a time may read a block. A fill of at least
+  /// 2 * kMinRowsPerWorker new rows splits them across the pool.
   [[nodiscard]] std::span<const std::uint32_t> codegree(const Graph& g) const;
   /// Index of v in g.neighbors(u), or Graph::kNotAdjacent, valid on edge
   /// rows; derived under the same memo rule as codegree().
   [[nodiscard]] std::span<const std::uint32_t> pick(const Graph& g) const;
 
  private:
+  /// Computes codegree_[i] for the edge rows i in [begin, end).
+  void fill_codegree(const Graph& g, std::size_t begin,
+                     std::size_t end) const;
+
   void clear_for(const Graph* g) noexcept {
     size_ = 0;
     codegree_rows_ = 0;

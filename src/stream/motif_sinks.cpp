@@ -1,7 +1,7 @@
 #include "stream/motif_sinks.hpp"
 
 #include "analysis/motifs.hpp"
-#include "graph/metrics.hpp"
+#include "graph/intersect.hpp"
 #include "stream/serialize.hpp"
 
 namespace frontier {
@@ -177,10 +177,12 @@ void MotifSink::fold(VertexId u, VertexId v, std::uint32_t deg_v) {
   clique12_ += adjacent_pairs;
   // C4 slot term: rectangles u–x–y–v–u through the edge, i.e. for every
   // other neighbor x of u, the codegree of {x, v} minus the slot's own u.
+  // N(v) is marked once for the row and every N(x) probed against it.
   std::uint64_t cycles = 0;
+  const MarkedSet nv(g.num_vertices(), g.neighbors(v));
   for (VertexId x : g.neighbors(u)) {
     if (x == v) continue;
-    cycles += shared_neighbors(g, x, v) - 1;  // u itself is always common
+    cycles += nv.count_in(g.neighbors(x)) - 1;  // u itself is always common
   }
   cycle8_ += cycles;
 }

@@ -188,6 +188,35 @@ TEST(BinaryErrors, TruncatedAndPaddedV2FilesThrow) {
   std::filesystem::remove(path);
 }
 
+TEST(BinaryErrors, TruncatedAndPaddedV2StreamsThrow) {
+  // The stream reader's twin of the mapped file checks above: a snapshot
+  // cut short or followed by any byte is refused, with the mmap path's
+  // wording for the latter.
+  Rng rng(5);
+  const Graph g = barabasi_albert(80, 2, rng);
+  std::stringstream full(std::ios::in | std::ios::out | std::ios::binary);
+  write_binary(g, full);
+  const std::string bytes = full.str();
+
+  std::stringstream half(std::ios::in | std::ios::out | std::ios::binary);
+  half << bytes.substr(0, bytes.size() / 2);
+  EXPECT_THROW((void)read_binary(half), IoError);
+
+  const std::string tails[] = {"extra", std::string(1, '\0')};
+  for (const std::string& tail : tails) {
+    std::stringstream padded(std::ios::in | std::ios::out | std::ios::binary);
+    padded << bytes;
+    padded.write(tail.data(), static_cast<std::streamsize>(tail.size()));
+    const std::string msg =
+        io_error_message([&] { (void)read_binary(padded); });
+    EXPECT_NE(msg.find("snapshot size mismatch"), std::string::npos) << msg;
+  }
+
+  std::stringstream exact(std::ios::in | std::ios::out | std::ios::binary);
+  exact << bytes;
+  EXPECT_EQ(read_binary(exact).num_vertices(), g.num_vertices());
+}
+
 TEST(BinaryErrors, CorruptV2CountsFailFast) {
   Rng rng(6);
   const Graph g = barabasi_albert(40, 2, rng);

@@ -1,8 +1,10 @@
 // StreamEventBlock's derived columns. The memoised codegree column must
 // equal shared_neighbors on every edge row however the block was filled,
 // be recomputed after clear() or for another graph, be extended after
-// appends, and give every sink that reads it the same values — so a
-// sink's state does not depend on which sinks read the column before it.
+// appends, keep those values when a large fill splits its rows across
+// the worker pool, and give every sink that reads it the same values — so
+// a sink's state does not depend on which sinks read the column before
+// it.
 // The pick column must name v's index in N(u) on every edge row every
 // cursor writes, and AssortativitySink must fold the same bytes whether
 // it reads the cursor's picks, locates them (ingest_sample, hand-pushed
@@ -126,6 +128,36 @@ TEST(StreamBlockCodegree, ExtendedAfterAppendsWithoutClear) {
   expect_codegree_matches(block, g);
   fill(block, g, rng, 200);
   ASSERT_EQ(block.size(), 300u);
+  expect_codegree_matches(block, g);
+}
+
+TEST(StreamBlockCodegree, SplitFillEqualsSharedNeighbors) {
+  // A fill of r rows runs on min(FS_THREADS, r / kMinRowsPerWorker)
+  // workers (ctest pins FS_THREADS=4): one row short of and at the first
+  // two cuts, and an uneven four-way split.
+  ASSERT_EQ(kMinRowsPerWorker, 1024u);
+  const Graph g = test_graph(7);
+  for (const std::size_t rows : {1023, 1024, 2047, 2048, 4103}) {
+    SCOPED_TRACE(rows);
+    StreamEventBlock block(rows);
+    Rng rng(rows);
+    fill(block, g, rng, rows);
+    expect_codegree_matches(block, g);
+  }
+}
+
+TEST(StreamBlockCodegree, SplitFillExtendsTheMemoAfterAppends) {
+  // Only the appended rows are split: 1000 inline, then 2048 new rows on
+  // two workers, then 1055 more inline.
+  const Graph g = test_graph(8);
+  StreamEventBlock block(4103);
+  Rng rng(9);
+  fill(block, g, rng, 1000);
+  expect_codegree_matches(block, g);
+  fill(block, g, rng, 2048);
+  expect_codegree_matches(block, g);
+  fill(block, g, rng, 1055);
+  ASSERT_EQ(block.size(), 4103u);
   expect_codegree_matches(block, g);
 }
 

@@ -188,6 +188,9 @@ int cmd_stream(const ParsedArgs& args) {
   const std::string metrics_path = args.get_path("metrics");
   const double metrics_every = args.get_double("metrics-every", 1.0);
   const bool want_progress = args.get_flag("progress");
+  // Parse FS_THREADS (the codegree fill's width) before any work: a bad
+  // value is a "bad argument:" up front, not a failure mid-crawl.
+  (void)default_thread_count();
   // Enable the library seams (graph-load telemetry) before the graph loads.
   if (!metrics_path.empty()) set_metrics_enabled(true);
   const Graph g =

@@ -197,9 +197,11 @@ void require_one_endpoint(const CommandSpec& spec, const ParsedArgs& args) {
 
 int run_daemon(const CommandSpec& spec, const ParsedArgs& args) {
   require_one_endpoint(spec, args);
-  // Parse FS_BLOCK at startup: a bad value stops the daemon with "bad
-  // argument:" instead of failing every later session open.
+  // Parse FS_BLOCK and FS_THREADS at startup: a bad value stops the
+  // daemon with "bad argument:" instead of failing every later session
+  // open or codegree fill.
   (void)default_block_capacity();
+  (void)default_thread_count();
   const std::string metrics_path = args.get_path("metrics");
   // Enable the library seams (graph-load telemetry) before the graph loads.
   if (!metrics_path.empty()) set_metrics_enabled(true);

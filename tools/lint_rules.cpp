@@ -84,8 +84,8 @@ constexpr ForbiddenToken kStdoutTokens[] = {
 
 // --- single-thread-pool --------------------------------------------------
 // core/parallel.hpp's parallel_for_ranges is the library's one worker
-// pool: it runs inline for one worker and rethrows the lowest worker's
-// exception. Any other std::thread/jthread/async in src/ is a second pool
+// pool (its threads live in core/parallel.cpp): it runs inline for one
+// worker and rethrows the lowest worker's exception. Any other std::thread/jthread/async in src/ is a second pool
 // to keep correct. Nested names (std::thread::id, hardware_concurrency)
 // and std::this_thread start no thread and pass.
 constexpr ForbiddenToken kThreadTokens[] = {
@@ -128,7 +128,7 @@ constexpr ForbiddenToken kDurableTokens[] = {
   return starts_with(p, "src/core/durable.");
 }
 [[nodiscard]] bool is_thread_pool(std::string_view p) {
-  return p == "src/core/parallel.hpp";
+  return p == "src/core/parallel.hpp" || p == "src/core/parallel.cpp";
 }
 [[nodiscard]] bool is_designated_printer(std::string_view p) {
   return starts_with(p, "src/experiments/printers.");
@@ -306,8 +306,8 @@ std::vector<RuleInfo> rules() {
        "every bench/bench_*.cpp routes through bench_common::BenchSession "
        "(--json + result_fingerprint discipline)"},
       {"single-thread-pool",
-       "only src/core/parallel.hpp constructs std::thread/jthread/async in "
-       "src/; every worker pool runs on parallel_for_ranges"},
+       "only src/core/parallel.{hpp,cpp} construct std::thread/jthread/"
+       "async in src/; every worker pool runs on parallel_for_ranges"},
       {"durable-file-replacement",
        "src/ and tools/ replace files only via durable_write_file "
        "(core/durable.hpp) — raw std::ofstream/std::rename swaps are "

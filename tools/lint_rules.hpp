@@ -17,8 +17,9 @@
 //                              bench_common::BenchSession (the --json /
 //                              result_fingerprint discipline CI gates on).
 //   single-thread-pool         src/ starts threads only through
-//                              core/parallel.hpp (parallel_for_ranges):
-//                              no other std::thread, std::jthread or
+//                              core/parallel.hpp (parallel_for_ranges,
+//                              pooled in core/parallel.cpp): no other
+//                              std::thread, std::jthread or
 //                              std::async. std::thread::id, this_thread
 //                              and hardware_concurrency stay allowed.
 //   durable-file-replacement   src/ and tools/ must not hand-roll file
