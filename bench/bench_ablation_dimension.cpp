@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   TextTable table({"m", "steps (B - m)", "geo-mean CNMSE"});
   const std::vector<std::size_t> dims{
       1, 4, 16, 64, 128, 256, static_cast<std::size_t>(budget) * 3 / 4};
+  std::vector<double> errors;  // per m, for the result fingerprint
   for (std::size_t m : dims) {
     const std::uint64_t steps = frontier_steps(budget, m, 1.0);
     if (steps == 0) continue;
@@ -51,8 +52,10 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(m), std::to_string(steps),
                    format_number(err)});
     session.metric("cnmse/m=" + std::to_string(m), err);
+    errors.push_back(err);
   }
   table.print(std::cout);
+  session.metric("result_fingerprint", values_fingerprint(errors), "fnv52");
   std::cout << "\nexpected shape: error falls as m grows (robustness to "
                "disconnected components), then rises again when m*c eats "
                "the walking budget\n";

@@ -26,7 +26,6 @@
 
 #include "random/rng.hpp"
 #include "random/alias_table.hpp"
-#include "random/weighted_tree.hpp"
 
 #include "graph/graph.hpp"
 #include "graph/builder.hpp"

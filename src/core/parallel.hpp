@@ -80,17 +80,19 @@ void parallel_for_ranges(std::size_t total, std::size_t workers,
 }
 
 /// Sorts [first, last) with `comp` using block sort + pairwise merges.
-/// `threads` resolves like resolve_threads; small inputs fall back to
-/// std::sort. Equivalent elements may land in any order (not stable),
-/// exactly like std::sort.
+/// `threads` bounds the workers, 0 meaning default_thread_count() (the
+/// FS_THREADS knob; std::invalid_argument if it is malformed); small
+/// inputs fall back to std::sort. Equivalent elements may land in any
+/// order (not stable), exactly like std::sort.
 template <typename It, typename Comp>
 void parallel_sort(It first, It last, Comp comp, std::size_t threads = 0) {
   const auto n = static_cast<std::size_t>(std::distance(first, last));
   // Below ~64k elements a worker's share is too small to pay its wake-up;
   // just sort in place.
   constexpr std::size_t kMinPerWorker = std::size_t{1} << 16;
-  std::size_t workers = std::min(resolve_threads(threads),
-                                 std::max<std::size_t>(n / kMinPerWorker, 1));
+  std::size_t workers =
+      std::min(threads == 0 ? default_thread_count() : threads,
+               std::max<std::size_t>(n / kMinPerWorker, 1));
   if (workers <= 1) {
     std::sort(first, last, comp);
     return;

@@ -33,8 +33,9 @@ class GraphBuilder {
 
   /// Finalizes into an immutable Graph. The builder may be reused afterwards
   /// (its edge list is preserved). `threads` bounds the internal sort
-  /// parallelism and resolves like resolve_threads (0 = hardware
-  /// concurrency); the result is identical for every thread count.
+  /// parallelism, 0 meaning default_thread_count() (the FS_THREADS knob;
+  /// std::invalid_argument if it is malformed); the result is identical
+  /// for every thread count.
   [[nodiscard]] Graph build(std::size_t threads = 0) const;
 
  private:

@@ -149,7 +149,7 @@ Graph parse_edge_list_text(std::string_view text, std::size_t threads) {
   constexpr std::size_t kAutoBytesPerWorker = std::size_t{1} << 20;
   std::size_t workers =
       threads == 0
-          ? std::min(resolve_threads(0),
+          ? std::min(default_thread_count(),
                      std::max<std::size_t>(text.size() / kAutoBytesPerWorker,
                                            1))
           : std::min(threads, std::max<std::size_t>(text.size(), 1));

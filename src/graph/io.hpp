@@ -33,9 +33,10 @@ void write_edge_list_file(const Graph& g, const std::string& path);
 
 /// Reads a directed edge list. Vertex ids may be arbitrary (sparse)
 /// non-negative integers; they are densified in numeric order. `threads`
-/// resolves like resolve_threads (0 = hardware concurrency); the result is
-/// identical for every thread count. Throws IoError (with line number) on
-/// negative ids, non-numeric tokens, or trailing garbage.
+/// bounds the parse and sort workers, 0 meaning default_thread_count()
+/// (the FS_THREADS knob; std::invalid_argument if it is malformed); the
+/// result is identical for every thread count. Throws IoError (with line
+/// number) on negative ids, non-numeric tokens, or trailing garbage.
 [[nodiscard]] Graph read_edge_list(std::istream& is, std::size_t threads = 0);
 [[nodiscard]] Graph read_edge_list_file(const std::string& path,
                                         std::size_t threads = 0);

@@ -11,8 +11,10 @@
 // steady state for large m (Theorem 5.4), which is what makes FS robust to
 // disconnected and loosely connected graphs.
 //
-// Walker selection is the per-step hot spot: a Fenwick tree keyed by
-// walker (random/weighted_tree.hpp) makes it O(log m) per step.
+// Walker selection is the per-step hot spot: DegreeSelector
+// (stream/degree_selector.hpp) keeps the walker degrees as exact integers
+// with per-block sums (16 slots a block, about √m from m = 1024), so an
+// update is O(1) and a draw scans the block sums and one block.
 #pragma once
 
 #include "stream/cursor.hpp"

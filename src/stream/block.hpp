@@ -19,7 +19,7 @@
 // The degree column carries deg(v) *in the cursor's graph*. Every
 // reweighting sink needs that value anyway (the 1/deg importance weight
 // of eq. 7), and the cursor usually has it at hand (FS updates its
-// Fenwick tree with it), so the block computes it once for all sinks.
+// walker selector with it), so the block computes it once for all sinks.
 //
 // The pick column carries, on each edge row a cursor wrote, the index k
 // with v = neighbors(u)[k]: every walk step draws k to pick v, so storing

@@ -97,25 +97,23 @@ FrontierCursor::FrontierCursor(const Graph& g, Config config,
 }
 
 void FrontierCursor::init_selection() {
-  const Graph& g = *graph_;
-  std::vector<double> weights(frontier_.size());
+  selector_ = DegreeSelector(frontier_.size());
   for (std::size_t i = 0; i < frontier_.size(); ++i) {
-    weights[i] = static_cast<double>(g.degree(frontier_[i]));
+    selector_.set(i, graph_->degree(frontier_[i]));
   }
-  tree_ = WeightedTree{std::span<const double>(weights)};
 }
 
 bool FrontierCursor::next(StreamEvent& ev) {
   ev.clear();
   if (step_ == config_.steps) return false;
   const Graph& g = *graph_;
-  const std::size_t i = tree_.sample(rng_);  // line 4: walker ∝ degree
+  const std::size_t i = selector_.sample(rng_);  // line 4: walker ∝ degree
   const VertexId u = frontier_[i];
   const VertexId v = step_uniform_neighbor(g, u, rng_);  // line 5
   ev.edge = Edge{u, v};                                  // line 6
   ev.has_edge = true;
   frontier_[i] = v;
-  tree_.set(i, static_cast<double>(g.degree(v)));
+  selector_.set(i, g.degree(v));
   ++step_;
   return true;
 }
@@ -131,7 +129,7 @@ std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
   Rng rng = rng_;  // hot state in locals; written back after the loop
   VertexId* frontier = frontier_.data();
   for (std::size_t k = 0; k < want; ++k) {
-    const std::size_t i = tree_.sample(rng);  // line 4: walker ∝ degree
+    const std::size_t i = selector_.sample(rng);  // line 4: walker ∝ degree
     const VertexId u = frontier[i];
     const auto nbrs = g.neighbors(u);                      // line 5
     const auto pick =
@@ -144,7 +142,7 @@ std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
     g.prefetch_neighbors(v);
     block.push_edge(u, v, dv, pick);                       // line 6
     frontier[i] = v;
-    tree_.set(i, static_cast<double>(dv));
+    selector_.set(i, dv);
   }
   step_ += want;
   rng_ = rng;
@@ -188,8 +186,8 @@ void FrontierCursor::load_state(std::istream& is) {
     throw IoError("FrontierCursor: corrupt checkpoint (frontier size)");
   }
   for (VertexId v : frontier_) check_position(*graph_, v, "frontier");
-  // The Fenwick tree is a pure function of the frontier degrees (integer
-  // weights, so the rebuild is bit-exact).
+  // The selector is a pure function of the frontier degrees, so the
+  // checkpoint does not store it.
   init_selection();
 }
 

@@ -15,10 +15,10 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "random/weighted_tree.hpp"
 #include "sampling/budget.hpp"
 #include "sampling/walk.hpp"
 #include "stream/cursor.hpp"
+#include "stream/degree_selector.hpp"
 
 namespace frontier {
 
@@ -86,7 +86,7 @@ class FrontierCursor final : public SamplerCursor {
 
   Config config_;
   std::vector<VertexId> frontier_;
-  WeightedTree tree_;  // Fenwick over walker degrees
+  DegreeSelector selector_;  // walker degrees, for line 4
   std::uint64_t step_ = 0;
 };
 

@@ -3,13 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "stats/bench_report.hpp"
+#include "stream/block.hpp"
 #include "stream/cursor.hpp"
 #include "stream/sampler_cursors.hpp"
 
@@ -47,7 +53,7 @@ TEST(FrontierSampler, ProducesRequestedSteps) {
   EXPECT_DOUBLE_EQ(rec.cost, 305.0);
 }
 
-TEST(FrontierSampler, TrajectoryIsValidWeightedTree) {
+TEST(FrontierSampler, TrajectoryIsValid) {
   Rng rng(3);
   const Graph g = barabasi_albert(80, 2, rng);
   const FrontierSampler fs(g, {.dimension = 7, .steps = 500});
@@ -181,6 +187,81 @@ TEST_P(FrontierDimensionSweep, UniformEdgeSamplingHoldsForAllM) {
 
 INSTANTIATE_TEST_SUITE_P(Dims, FrontierDimensionSweep,
                          ::testing::Values(1, 2, 3, 8, 32, 128));
+
+// Pins FS output to constants, so a change to walker selection (or to any
+// other part of the step) that picks a different walker for the same draw
+// fails here even though every same-commit identity gate (threads, block
+// size, telemetry) still agrees with itself. The constants are FNV-1a
+// hashes of the edges, starts, cost and final RNG state of one run per m.
+// They may only change together with a documented change of the FS law.
+std::uint64_t hash_record(const SampleRecord& rec, const Rng& rng) {
+  std::uint64_t h = kFnv1aOffsetBasis;
+  h = fnv1a_bytes(h, rec.edges.data(), rec.edges.size() * sizeof(Edge));
+  h = fnv1a_bytes(h, rec.starts.data(),
+                  rec.starts.size() * sizeof(VertexId));
+  h = fnv1a_bytes(h, &rec.cost, sizeof(rec.cost));
+  const std::array<std::uint64_t, 4> state = rng.state();
+  return fnv1a_bytes(h, state.data(), sizeof(state));
+}
+
+const Graph& pin_graph() {
+  static const Graph g = [] {
+    Rng rng(2718);
+    return barabasi_albert(20000, 3, rng);
+  }();
+  return g;
+}
+
+constexpr std::array<std::size_t, 6> kPinDimensions{1, 2, 10, 100, 1000,
+                                                    5000};
+
+TEST(FrontierPin, RunMatchesPinnedHashes) {
+  constexpr std::array<std::uint64_t, 6> kExpected{
+      0xcbeea75e97ca051fULL, 0xdf121c3deacf43f8ULL, 0xe382d2fb100db834ULL,
+      0x9a1654d6d2cbcc22ULL, 0xe32d046abd7b433aULL, 0xe6f18a8ad1a176b9ULL};
+  const Graph& g = pin_graph();
+  for (std::size_t k = 0; k < kPinDimensions.size(); ++k) {
+    const std::size_t m = kPinDimensions[k];
+    const FrontierSampler fs(g, {.dimension = m, .steps = 30000});
+    Rng rng(100 + m);
+    const SampleRecord rec = fs.run(rng);
+    EXPECT_EQ(hash_record(rec, rng), kExpected[k]) << "m " << m;
+  }
+}
+
+TEST(FrontierPin, CheckpointAndResumeMatchPinnedHashes) {
+  // {checkpoint bytes, resumed run} per m; the checkpoint is taken after
+  // one block of 7919 steps, mid-way through a 20000-step run.
+  constexpr std::array<std::array<std::uint64_t, 2>, 6> kExpected{{
+      {0x1046b37c957a4f57ULL, 0x61065a270e9a6105ULL},
+      {0x309b97c287714392ULL, 0x84cfdb6531d2bd23ULL},
+      {0xdd70ad98e426748cULL, 0x383b9141c781ceadULL},
+      {0x0b8fb416555c3fa1ULL, 0x7159be8d579a0085ULL},
+      {0x5d5de2655aeda6dfULL, 0x9d7aa343b7fe708bULL},
+      {0x0e94d9b413a1108aULL, 0xf741410fa184ed2fULL},
+  }};
+  const Graph& g = pin_graph();
+  for (std::size_t k = 0; k < kPinDimensions.size(); ++k) {
+    const std::size_t m = kPinDimensions[k];
+    const FrontierCursor::Config cfg{.dimension = m, .steps = 20000};
+    FrontierCursor cursor(g, cfg, Rng(200 + m));
+    StreamEventBlock block(7919);
+    ASSERT_EQ(cursor.next_batch(block, block.capacity()), 7919u);
+    std::ostringstream os;
+    cursor.save_state(os);
+    const std::string bytes = os.str();
+    EXPECT_EQ(fnv1a_bytes(kFnv1aOffsetBasis, bytes.data(), bytes.size()),
+              kExpected[k][0])
+        << "m " << m;
+
+    FrontierCursor resumed(g, cfg, Rng(1));
+    std::istringstream is(bytes);
+    resumed.load_state(is);
+    const SampleRecord rec = drain_cursor(resumed);
+    EXPECT_EQ(rec.edges.size(), 20000u - 7919u);
+    EXPECT_EQ(hash_record(rec, resumed.rng()), kExpected[k][1]) << "m " << m;
+  }
+}
 
 }  // namespace
 }  // namespace frontier

@@ -112,7 +112,7 @@ void check_batch_equivalence(MakeCursor make_cursor,
   }
 }
 
-TEST(StreamBatch, FrontierWeightedTreeAllBatchSizes) {
+TEST(StreamBatch, FrontierAllBatchSizes) {
   const Graph g = test_graph();
   check_batch_equivalence([&] {
     return std::make_unique<FrontierCursor>(

@@ -52,7 +52,7 @@ Graph test_graph(std::uint64_t seed = 42) {
   return barabasi_albert(200, 3, rng);
 }
 
-TEST(StreamCursors, FrontierMatchesBatchWeightedTree) {
+TEST(StreamCursors, FrontierMatchesBatch) {
   const Graph g = test_graph();
   const FrontierSampler fs(g, {.dimension = 8, .steps = 5000});
   Rng batch_rng(7);
