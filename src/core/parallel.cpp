@@ -2,8 +2,8 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <exception>
+#include <memory>
 #include <mutex>
 
 #include "core/env.hpp"
@@ -42,8 +42,10 @@ std::exception_ptr take_first(std::vector<std::exception_ptr>& errors) {
 }
 
 /// The process-wide pool. Thread w (w >= 1) runs partition w of every
-/// call with more than w workers; the owning caller runs partition 0 and
-/// waits for the rest. Built on first use, joined by its destructor.
+/// job with more than w partitions and is woken for those jobs only; the
+/// owner of a call runs partition 0 and waits for the rest, the owner of
+/// a background job runs none of it. Built on first use, joined by its
+/// destructor.
 class Pool {
  public:
   static Pool& instance() {
@@ -60,36 +62,46 @@ class Pool {
       const std::lock_guard lock(mu_);
       stop_ = true;
     }
-    wake_.notify_all();
-    for (std::thread& t : threads_) t.join();
+    for (const std::unique_ptr<Slot>& slot : slots_) slot->wake.notify_one();
+    for (const std::unique_ptr<Slot>& slot : slots_) slot->thread.join();
   }
 
-  /// Claims the pool for one call; false while another call owns it.
+  /// Claims the pool for one job; false while another job owns it.
   [[nodiscard]] bool try_claim() noexcept {
     return !owned_.exchange(true, std::memory_order_acq_rel);
   }
 
-  /// Runs one claimed call and releases the claim.
-  void run(std::size_t total, std::size_t workers, const RangeBody& body) {
-    struct Release {
-      std::atomic<bool>& owned;
-      ~Release() { owned.store(false, std::memory_order_release); }
-    } release{owned_};
+  void release() noexcept { owned_.store(false, std::memory_order_release); }
+
+  /// Posts partitions 1..width-1 of a claimed job over [0, total) to
+  /// threads 1..width-1, starting any that do not exist yet, and wakes
+  /// those threads only.
+  void post(std::size_t total, std::size_t width, const RangeBody& body) {
     {
       const std::lock_guard lock(mu_);
-      while (threads_.size() + 1 < workers) {
-        threads_.emplace_back(
-            [this, slot = threads_.size() + 1, seen = generation_] {
-              work(slot, seen);
-            });
+      slots_.reserve(width - 1);
+      while (slots_.size() + 1 < width) {
+        auto slot = std::make_unique<Slot>();
+        slot->thread = std::thread(
+            [this, s = slot.get(), w = slots_.size() + 1] { work(*s, w); });
+        slots_.push_back(std::move(slot));
       }
-      errors_.assign(workers, nullptr);
-      job_ = Job{total, workers, body};
-      pending_ = workers - 1;
-      ++generation_;
+      errors_.assign(width, nullptr);
+      job_ = Job{total, width, body};
+      pending_ = width - 1;
+      for (std::size_t w = 1; w < width; ++w) slots_[w - 1]->posted = true;
     }
-    wake_.notify_all();
-    errors_[0] = run_one(total, workers, 0, body);
+    // Only the owner grows slots_, so it reads it here without the lock.
+    for (std::size_t w = 1; w < width; ++w) slots_[w - 1]->wake.notify_one();
+  }
+
+  /// Waits for the posted partitions, releases the claim and rethrows the
+  /// lowest partition's exception (errors_[0] holds the owner's, if any).
+  void wait() {
+    struct Release {
+      Pool& pool;
+      ~Release() { pool.release(); }
+    } release{*this};
     {
       std::unique_lock lock(mu_);
       done_.wait(lock, [this] { return pending_ == 0; });
@@ -99,25 +111,44 @@ class Pool {
     }
   }
 
+  /// Runs one claimed call, the owner taking partition 0, and releases
+  /// the claim.
+  void run(std::size_t total, std::size_t workers, const RangeBody& body) {
+    try {
+      post(total, workers, body);
+    } catch (...) {
+      release();
+      throw;
+    }
+    errors_[0] = run_one(total, workers, 0, body);
+    wait();
+  }
+
  private:
   struct Job {
     std::size_t total = 0;
-    std::size_t workers = 0;
+    std::size_t width = 0;
     RangeBody body{};
   };
 
-  void work(std::size_t slot, std::uint64_t seen) {
+  /// One pool thread and its wake-up.
+  struct Slot {
+    std::condition_variable wake;  // posted, or stop_
+    bool posted = false;           // guarded by mu_
+    std::thread thread;
+  };
+
+  void work(Slot& slot, std::size_t w) {
     std::unique_lock lock(mu_);
     for (;;) {
-      wake_.wait(lock, [&] { return stop_ || generation_ != seen; });
+      slot.wake.wait(lock, [&] { return stop_ || slot.posted; });
       if (stop_) return;
-      seen = generation_;
-      if (slot >= job_.workers) continue;
+      slot.posted = false;
       const Job job = job_;
       lock.unlock();
       // errors_ is sized before the job is posted and read only after
       // pending_ drops to zero, so each slot is this thread's alone.
-      errors_[slot] = run_one(job.total, job.workers, slot, job.body);
+      errors_[w] = run_one(job.total, job.width, w, job.body);
       lock.lock();
       if (--pending_ == 0) done_.notify_one();
     }
@@ -127,15 +158,13 @@ class Pool {
   // Guarded by mu_, except errors_[w], which only slot w's thread writes
   // while a job runs.
   std::mutex mu_;
-  std::condition_variable wake_;  // a new job, or stop_
   std::condition_variable done_;  // pending_ reached zero
   std::vector<std::exception_ptr> errors_;
   Job job_;
-  std::uint64_t generation_ = 0;
   std::size_t pending_ = 0;
   bool stop_ = false;
-  // Last, after everything the threads use.
-  std::vector<std::thread> threads_;
+  // Last, after everything the threads use; slots_[w - 1] is thread w.
+  std::vector<std::unique_ptr<Slot>> slots_;
 };
 
 }  // namespace
@@ -154,5 +183,20 @@ void run_partitions(std::size_t total, std::size_t workers, RangeBody body) {
   if (first) std::rethrow_exception(first);
 }
 
+bool start_background(std::size_t workers, RangeBody body) {
+  Pool& pool = Pool::instance();
+  if (workers == 0 || !pool.try_claim()) return false;
+  try {
+    pool.post(workers + 1, workers + 1, body);
+  } catch (...) {
+    pool.release();
+    throw;
+  }
+  return true;
+}
+
 }  // namespace detail
+
+void join_background() { detail::Pool::instance().wait(); }
+
 }  // namespace frontier

@@ -9,12 +9,21 @@
 // grown to the largest worker count any call asks for, reused by every
 // later call and joined at exit. Worker slot w of a call always runs on
 // the pool's thread w (the caller is slot 0), so a worker's thread_local
-// state lives as long as the pool. One call owns the pool at a time: a
-// call made from inside a running call (by the caller's own slot or by a
-// worker) or from another thread while the pool is owned runs all its
-// partitions inline, in order, on the calling thread. Nesting therefore
-// cannot deadlock, and concurrent callers get the same partitions, hence
-// the same results, as a serial caller.
+// state lives as long as the pool, and a call wakes only the threads of
+// its own slots. One call owns the pool at a time: a call made from
+// inside a running call (by the caller's own slot or by a worker) or from
+// another thread while the pool is owned runs all its partitions inline,
+// in order, on the calling thread. Nesting therefore cannot deadlock, and
+// concurrent callers get the same partitions, hence the same results, as
+// a serial caller.
+//
+// start_background is the pool's second way in: it posts a job to threads
+// 1..workers and returns at once, so the caller keeps working while they
+// run, and join_background waits for them. The job owns the pool like a
+// call does, from start to join, so every call made meanwhile runs
+// inline; a background job that cannot claim the pool is not started
+// (the streaming codegree chase, stream/block.hpp, then fills on the
+// caller).
 #pragma once
 
 #include <algorithm>
@@ -52,6 +61,10 @@ struct RangeBody {
 /// inline when the pool is owned; rethrows the lowest worker's exception.
 void run_partitions(std::size_t total, std::size_t workers, RangeBody body);
 
+/// start_background with its body type erased: slot w runs
+/// body.call(body.body, w, w, w + 1).
+[[nodiscard]] bool start_background(std::size_t workers, RangeBody body);
+
 }  // namespace detail
 
 /// Runs body(worker, begin, end) over a static block partition of
@@ -78,6 +91,25 @@ void parallel_for_ranges(std::size_t total, std::size_t workers,
        },
        &body});
 }
+
+/// Starts body(w) for w = 1..workers on the pool's threads 1..workers and
+/// returns without running any of it on the caller. Returns false, and
+/// starts nothing, when workers == 0 or the pool is owned (by a running
+/// parallel_for_ranges call, from inside one, or by another background
+/// job). A true return claims the pool until join_background(), which the
+/// same thread must call before `body` goes away.
+template <typename Body>
+[[nodiscard]] bool start_background(std::size_t workers, const Body& body) {
+  return detail::start_background(
+      workers, {[](const void* b, std::size_t w, std::size_t, std::size_t) {
+                  (*static_cast<const Body*>(b))(w);
+                },
+                &body});
+}
+
+/// Waits for the job start_background() posted, releases the pool and
+/// rethrows the lowest worker's exception, if any.
+void join_background();
 
 /// Sorts [first, last) with `comp` using block sort + pairwise merges.
 /// `threads` bounds the workers, 0 meaning default_thread_count() (the

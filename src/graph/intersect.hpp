@@ -81,6 +81,8 @@ void gallop(std::span<const VertexId> a, std::span<const VertexId> b,
     const bool hit = b[j] == x;
     if (hit) on_match(x);
     j += hit;
+    // A hit on b's last element leaves no tail to search.
+    if (j == nl) return;
   }
 }
 

@@ -28,12 +28,26 @@
 // direction_array()[offsets[u] + k] instead of a binary search.
 //
 // Two columns are derived, under one memo rule: the codegree f(u,v) =
-// |N(u) ∩ N(v)|, which no cursor writes (the first sink that reads it
-// after a fill runs the intersection kernel, graph/intersect.hpp, for
-// every edge row, split by row ranges across the worker pool when the
-// fill is large; see kMinRowsPerWorker), and the pick, which a cursor
-// writes but a reader may have to locate. Every later reader of the same
-// fill gets the same span.
+// |N(u) ∩ N(v)|, which no cursor writes (the intersection kernel,
+// graph/intersect.hpp, computes it for every edge row), and the pick,
+// which a cursor writes but a reader may have to locate. Every later
+// reader of the same fill gets the same span.
+//
+// The codegree rows are filled in kCodegreeChunkRows-row chunks, claimed
+// one at a time through an atomic counter, so a row's value never depends
+// on who filled it. Once a reader has asked a block for g's codegree,
+// every later cursor fill on g of at least 2 * kMinRowsPerWorker rows is
+// chased: SamplerCursor::next_batch starts default_thread_count() - 1
+// background workers on the pool (core/parallel.hpp), the cursor
+// publishes its rows a chunk at a time, and the workers fill each chunk
+// as soon as it is published, while the cursor is still writing. The
+// first codegree() read seals the fill, fills any unclaimed chunks on the
+// calling thread and joins the workers; clear() and the destructor join
+// too, dropping what is in flight. A fill that is not chased (one
+// thread, a pool owned by a running call, fewer rows, or rows pushed by
+// hand) is sealed at that read, and its chunks split across the pool as
+// above when it has at least 2 * kMinRowsPerWorker new rows, or are all
+// filled on the caller.
 // Each memo is keyed on the graph and on the number of rows already
 // derived: clear() resets it (so push_* pays nothing for it), a read
 // after appends derives only the new rows, and a read with another graph
@@ -47,6 +61,7 @@
 // never filled to capacity never touches its tail pages.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -71,16 +86,24 @@ namespace frontier {
 /// a typo into an allocation failure.
 inline constexpr std::uint64_t kMaxBlockCapacity = std::uint64_t{1} << 20;
 
-/// Fewest codegree rows a fill hands to one worker: a fill of r new rows
-/// runs on min(default_thread_count(), r / kMinRowsPerWorker) workers of
-/// the pool (core/parallel.hpp), so fills under 2 * kMinRowsPerWorker
-/// rows stay on the calling thread. A fixed property of the fill, not a
-/// tuning knob: a 1024-row share is ≈ 75 µs of intersections on a
-/// 200k-vertex BA graph, about ten times a pool dispatch (≈ 8 µs, see
-/// docs/BENCHMARKS.md "Worker pool").
+/// Fewest codegree rows a fill hands to one worker: a sealed fill of r
+/// new rows runs on min(default_thread_count(), r / kMinRowsPerWorker)
+/// workers of the pool (core/parallel.hpp), and only cursor fills of at
+/// least 2 * kMinRowsPerWorker rows are chased, so smaller fills stay on
+/// the calling thread. A fixed property of the fill, not a tuning knob: a
+/// 1024-row share is ≈ 75 µs of intersections on a 200k-vertex BA graph,
+/// about ten times a pool dispatch (≈ 8 µs, see docs/BENCHMARKS.md
+/// "Worker pool").
 inline constexpr std::size_t kMinRowsPerWorker = 1024;
 
+/// Rows in one claim of a codegree fill, and the stride in which a chased
+/// cursor publishes its rows: large enough that a claim (one atomic add)
+/// and a publish (one store) vanish next to 64 intersections and 64 walk
+/// steps, small enough that the workers trail the cursor closely.
+inline constexpr std::size_t kCodegreeChunkRows = 64;
+
 class Graph;
+class SamplerCursor;
 
 class StreamEventBlock {
  public:
@@ -94,12 +117,20 @@ class StreamEventBlock {
   static constexpr std::uint8_t kPicked = 4;
 
   explicit StreamEventBlock(std::size_t capacity = default_block_capacity());
+  /// Joins a chase in flight.
+  ~StreamEventBlock() {
+    if (chasing_) stop_chase();
+  }
+  // Pool workers hold the block's address while a chase runs.
+  StreamEventBlock(const StreamEventBlock&) = delete;
+  StreamEventBlock& operator=(const StreamEventBlock&) = delete;
 
   [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t room() const noexcept { return cap_ - size_; }
-  /// Empties the block; picks pushed after it are located on first read.
+  /// Empties the block, joining a chase in flight; picks pushed after it
+  /// are located on first read.
   void clear() noexcept { clear_for(nullptr); }
   /// Empties the block for a cursor on g: picks pushed after it are
   /// trusted by pick(g).
@@ -164,20 +195,65 @@ class StreamEventBlock {
     return {flags_.get(), size_};
   }
   /// Codegree |N(u) ∩ N(v)| in g, valid on edge rows; memoised as the
-  /// file comment says. The memo makes this const call a write, so one
-  /// thread at a time may read a block. A fill of at least
-  /// 2 * kMinRowsPerWorker new rows splits them across the pool.
+  /// file comment says, and from now on cursor fills on g are chased.
+  /// The memo makes this const call a write, so one thread at a time may
+  /// read a block.
   [[nodiscard]] std::span<const std::uint32_t> codegree(const Graph& g) const;
+  /// True while pool workers fill this block's codegree column, from a
+  /// chased next_batch() to the codegree() read or clear() that joins
+  /// them.
+  [[nodiscard]] bool chasing() const noexcept { return chasing_; }
   /// Index of v in g.neighbors(u), or Graph::kNotAdjacent, valid on edge
   /// rows; derived under the same memo rule as codegree().
   [[nodiscard]] std::span<const std::uint32_t> pick(const Graph& g) const;
 
  private:
-  /// Computes codegree_[i] for the edge rows i in [begin, end).
-  void fill_codegree(const Graph& g, std::size_t begin,
-                     std::size_t end) const;
+  friend class SamplerCursor;
+
+  /// A fill's pool workers, as start_background() wants them.
+  struct ChaseWorkers {
+    const StreamEventBlock* block;
+    void operator()(std::size_t) const { block->fill_chunks(); }
+  };
+
+  /// Computes codegree_[i] for the edge rows i in [begin, end); rows up to
+  /// `limit` may be prefetched.
+  void fill_codegree(const Graph& g, std::size_t begin, std::size_t end,
+                     std::size_t limit) const noexcept;
+  /// Claims and fills chunks of the open fill until one starts at or past
+  /// its sealed end. Run by the fill's workers and by the codegree() read.
+  void fill_chunks() const noexcept;
+  /// Opens a fill on codegree_graph_ from row `first`, with room for rows
+  /// up to `last`, sealed at size() when `sealed`, and starts `workers`
+  /// pool workers on it; returns whether they started.
+  bool open_fill(std::size_t first, std::size_t last, bool sealed,
+                 std::size_t workers) const;
+  /// Fills the unclaimed chunks of the sealed fill, joins its workers and
+  /// extends the memo to the fill's end.
+  void finish_fill() const;
+  /// Drops what a chase has in flight and joins its workers.
+  void stop_chase() const noexcept;
+
+  // SamplerCursor::next_batch's side of a chase, on a block it has just
+  // cleared for g: chase() starts one for a fill of at most `rows` rows
+  // when the file comment says so, publish() hands the rows written so
+  // far to the workers, and seal() ends the fill at size().
+  [[nodiscard]] bool chase(const Graph& g, std::size_t rows) {
+    return chase_graph_ == &g && rows >= 2 * kMinRowsPerWorker &&
+           start_chase(g, rows);
+  }
+  bool start_chase(const Graph& g, std::size_t rows);
+  void publish() noexcept {
+    published_.store(size_, std::memory_order_release);
+  }
+  void seal() const noexcept {
+    fill_end_ = size_;
+    published_.store(size_, std::memory_order_release);
+    sealed_.store(true, std::memory_order_release);
+  }
 
   void clear_for(const Graph* g) noexcept {
+    if (chasing_) stop_chase();
     size_ = 0;
     codegree_rows_ = 0;
     pick_source_ = g;
@@ -205,6 +281,22 @@ class StreamEventBlock {
   mutable const Graph* pick_source_ = nullptr;
   mutable const Graph* pick_graph_ = nullptr;
   mutable std::size_t pick_rows_ = 0;
+  // The codegree fill. The owner's fields: the graph whose fills are
+  // chased (the last one codegree() was read for), whether workers are
+  // in flight, and the fill's first row and sealed end. The workers read
+  // fill_base_ and codegree_graph_, both written before they start.
+  mutable const Graph* chase_graph_ = nullptr;
+  mutable bool chasing_ = false;
+  mutable std::size_t fill_base_ = 0;
+  mutable std::size_t fill_end_ = 0;
+  ChaseWorkers workers_{this};
+  // Shared with the workers, each on a cache line of its own so that
+  // their claims and polls never contend with the cursor's row writes.
+  // Rows below published_ are written; once sealed_ is set, published_ is
+  // the fill's end.
+  alignas(64) mutable std::atomic<std::size_t> published_{0};
+  mutable std::atomic<bool> sealed_{false};
+  alignas(64) mutable std::atomic<std::size_t> next_chunk_{0};
 };
 
 }  // namespace frontier

@@ -1,6 +1,36 @@
 #include "stream/cursor.hpp"
 
+#include <algorithm>
+
 namespace frontier {
+
+std::size_t SamplerCursor::next_batch(StreamEventBlock& block,
+                                      std::size_t max_steps) {
+  block.clear(*graph_);
+  const std::size_t want = std::min(max_steps, block.capacity());
+  if (!block.chase(*graph_, want)) return append_batch(block, want);
+  std::size_t taken = 0;
+  try {
+    while (taken < want) {
+      const std::size_t got = append_batch(
+          block, std::min(kCodegreeChunkRows, want - taken));
+      if (got == 0) break;
+      taken += got;
+      block.publish();
+    }
+  } catch (...) {
+    block.stop_chase();
+    throw;
+  }
+  // An exhausted cursor leaves nothing to fill: release the pool now
+  // rather than at the next clear().
+  if (taken == 0) {
+    block.stop_chase();
+  } else {
+    block.seal();
+  }
+  return taken;
+}
 
 SampleRecord& drain_cursor_into(SamplerCursor& cursor, SampleArena& arena,
                                 std::uint64_t reserve_edges,

@@ -81,9 +81,15 @@ class SamplerCursor {
   /// state, RNG stream, emitted events and cost after next_batch are
   /// byte-identical to the same number of next() calls — batching
   /// amortizes dispatch, it never reorders draws.
-  virtual std::size_t next_batch(
+  ///
+  /// When the block chases its codegree column (stream/block.hpp), the
+  /// steps are taken kCodegreeChunkRows at a time, each stride published
+  /// to the pool workers filling it; the rows are the same as one
+  /// append_batch call's, because the steps never depend on how a fill
+  /// is cut.
+  std::size_t next_batch(
       StreamEventBlock& block,
-      std::size_t max_steps = std::numeric_limits<std::size_t>::max()) = 0;
+      std::size_t max_steps = std::numeric_limits<std::size_t>::max());
 
   /// True once next() has returned (or would return) false.
   [[nodiscard]] virtual bool done() const noexcept = 0;
@@ -126,6 +132,13 @@ class SamplerCursor {
 
  protected:
   SamplerCursor(const Graph& g, Rng rng) : graph_(&g), rng_(rng) {}
+
+  /// Advances up to min(max_steps, block.room()) budgeted steps,
+  /// appending one row per step after the block's current rows, and
+  /// returns the number taken (0 iff exhausted or no room). Each cursor's
+  /// one step loop; next_batch() is its only caller.
+  virtual std::size_t append_batch(StreamEventBlock& block,
+                                   std::size_t max_steps) = 0;
 
   const Graph* graph_;
   std::vector<VertexId> starts_;

@@ -118,12 +118,11 @@ bool FrontierCursor::next(StreamEvent& ev) {
   return true;
 }
 
-std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
-                                       std::size_t max_steps) {
-  block.clear(*graph_);
+std::size_t FrontierCursor::append_batch(StreamEventBlock& block,
+                                         std::size_t max_steps) {
   const std::uint64_t remaining = config_.steps - step_;
   const std::size_t want = static_cast<std::size_t>(std::min<std::uint64_t>(
-      std::min(max_steps, block.capacity()), remaining));
+      std::min(max_steps, block.room()), remaining));
   if (want == 0) return 0;
   const Graph& g = *graph_;
   Rng rng = rng_;  // hot state in locals; written back after the loop
@@ -234,10 +233,9 @@ bool SingleRwCursor::next(StreamEvent& ev) {
   return true;
 }
 
-std::size_t SingleRwCursor::next_batch(StreamEventBlock& block,
-                                       std::size_t max_steps) {
-  block.clear(*graph_);
-  const std::size_t want = std::min(max_steps, block.capacity());
+std::size_t SingleRwCursor::append_batch(StreamEventBlock& block,
+                                         std::size_t max_steps) {
+  const std::size_t want = std::min(max_steps, block.room());
   const Graph& g = *graph_;
   const double laziness = config_.laziness;
   Rng rng = rng_;
@@ -375,10 +373,9 @@ bool MultipleRwCursor::next(StreamEvent& ev) {
   return true;
 }
 
-std::size_t MultipleRwCursor::next_batch(StreamEventBlock& block,
-                                         std::size_t max_steps) {
-  block.clear(*graph_);
-  const std::size_t want = std::min(max_steps, block.capacity());
+std::size_t MultipleRwCursor::append_batch(StreamEventBlock& block,
+                                           std::size_t max_steps) {
+  const std::size_t want = std::min(max_steps, block.room());
   const Graph& g = *graph_;
   Rng rng = rng_;
   std::size_t taken = 0;
@@ -561,10 +558,9 @@ bool RwjCursor::next(StreamEvent& ev) {
   return true;
 }
 
-std::size_t RwjCursor::next_batch(StreamEventBlock& block,
-                                  std::size_t max_steps) {
-  block.clear(*graph_);
-  const std::size_t want = std::min(max_steps, block.capacity());
+std::size_t RwjCursor::append_batch(StreamEventBlock& block,
+                                    std::size_t max_steps) {
+  const std::size_t want = std::min(max_steps, block.room());
   std::size_t taken = 0;
   if (want != 0 && pending_vertex_) {
     block.push_vertex(*pending_vertex_);
@@ -675,10 +671,9 @@ bool MetropolisCursor::next(StreamEvent& ev) {
   return true;
 }
 
-std::size_t MetropolisCursor::next_batch(StreamEventBlock& block,
-                                         std::size_t max_steps) {
-  block.clear(*graph_);
-  const std::size_t want = std::min(max_steps, block.capacity());
+std::size_t MetropolisCursor::append_batch(StreamEventBlock& block,
+                                           std::size_t max_steps) {
+  const std::size_t want = std::min(max_steps, block.room());
   std::size_t taken = 0;
   if (want != 0 && pending_vertex_) {
     block.push_vertex(*pending_vertex_);

@@ -61,8 +61,6 @@ class FrontierCursor final : public SamplerCursor {
                  Rng rng);
 
   bool next(StreamEvent& ev) override;
-  std::size_t next_batch(StreamEventBlock& block,
-                         std::size_t max_steps) override;
   [[nodiscard]] bool done() const noexcept override {
     return step_ == config_.steps;
   }
@@ -82,6 +80,8 @@ class FrontierCursor final : public SamplerCursor {
   }
 
  private:
+  std::size_t append_batch(StreamEventBlock& block,
+                           std::size_t max_steps) override;
   void init_selection();
 
   Config config_;
@@ -129,8 +129,6 @@ class SingleRwCursor final : public SamplerCursor {
                  const StartSampler& start_sampler);
 
   bool next(StreamEvent& ev) override;
-  std::size_t next_batch(StreamEventBlock& block,
-                         std::size_t max_steps) override;
   [[nodiscard]] bool done() const noexcept override {
     return step_ == config_.steps && burn_done_ == config_.burn_in;
   }
@@ -144,6 +142,8 @@ class SingleRwCursor final : public SamplerCursor {
   [[nodiscard]] VertexId position() const noexcept { return u_; }
 
  private:
+  std::size_t append_batch(StreamEventBlock& block,
+                           std::size_t max_steps) override;
   Config config_;
   VertexId u_ = kInvalidVertex;
   std::uint64_t burn_done_ = 0;
@@ -180,8 +180,6 @@ class MultipleRwCursor final : public SamplerCursor {
                    const StartSampler& start_sampler);
 
   bool next(StreamEvent& ev) override;
-  std::size_t next_batch(StreamEventBlock& block,
-                         std::size_t max_steps) override;
   [[nodiscard]] bool done() const noexcept override {
     return walker_ == config_.num_walkers;
   }
@@ -198,6 +196,8 @@ class MultipleRwCursor final : public SamplerCursor {
   }
 
  private:
+  std::size_t append_batch(StreamEventBlock& block,
+                           std::size_t max_steps) override;
   Config config_;
   std::optional<StartSampler> owned_start_;  // engaged unless caller-owned
   const StartSampler* start_sampler_;
@@ -240,8 +240,6 @@ class RwjCursor final : public SamplerCursor {
             const StartSampler& start_sampler);
 
   bool next(StreamEvent& ev) override;
-  std::size_t next_batch(StreamEventBlock& block,
-                         std::size_t max_steps) override;
   [[nodiscard]] bool done() const noexcept override { return done_; }
   [[nodiscard]] double cost() const noexcept override { return cost_; }
   [[nodiscard]] CursorKind kind() const noexcept override {
@@ -251,6 +249,8 @@ class RwjCursor final : public SamplerCursor {
   void load_state(std::istream& is) override;
 
  private:
+  std::size_t append_batch(StreamEventBlock& block,
+                           std::size_t max_steps) override;
   [[nodiscard]] bool pay_jump();
   void init();
 
@@ -295,8 +295,6 @@ class MetropolisCursor final : public SamplerCursor {
                    const StartSampler& start_sampler);
 
   bool next(StreamEvent& ev) override;
-  std::size_t next_batch(StreamEventBlock& block,
-                         std::size_t max_steps) override;
   [[nodiscard]] bool done() const noexcept override {
     return step_ == config_.steps && !pending_vertex_;
   }
@@ -310,6 +308,8 @@ class MetropolisCursor final : public SamplerCursor {
   [[nodiscard]] VertexId position() const noexcept { return v_; }
 
  private:
+  std::size_t append_batch(StreamEventBlock& block,
+                           std::size_t max_steps) override;
   Config config_;
   VertexId v_ = kInvalidVertex;
   std::optional<VertexId> pending_vertex_;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <iterator>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "analysis/motifs.hpp"
@@ -164,6 +165,25 @@ TEST(SharedNeighbors, LengthRatiosAroundTheGallopSwitch) {
     expect_lists_intersect({3, 4, last - 1, last + 1}, longer);
     expect_lists_intersect({2, 5, 8, 11}, longer);
   }
+}
+
+TEST(SharedNeighbors, GallopStopsAtAHitOnTheLongListsLastElement) {
+  // The long list b = 0..39 is followed in memory by 1 and 100, and the
+  // short list {39, 100} is under 1/kGallopRatio of it, so the kernel
+  // gallops. Its hit on 39, b's last element, leaves no tail: a search
+  // for 100 that went on would read past b, find the 100 behind it and
+  // count a match that b does not hold.
+  std::vector<VertexId> memory = iota_list(0, 40);
+  memory.push_back(1);
+  memory.push_back(100);
+  const std::span<const VertexId> b(memory.data(), 40);
+  const std::vector<VertexId> a = {39, 100};
+  ASSERT_LT(a.size() * kGallopRatio, b.size());
+  std::vector<VertexId> got;
+  intersect_sorted(101, a, b, [&got](VertexId x) { got.push_back(x); });
+  EXPECT_EQ(got, std::vector<VertexId>{39});
+  const MarkedSet marked(101, a);
+  EXPECT_EQ(marked.count_in(b), 1u);
 }
 
 // A graph of n vertices in which vertex `owner_a` has adjacency `a` and

@@ -4,6 +4,9 @@
 // partition ran, nested calls and concurrent callers run inline with the
 // same partitions, and the pool's threads reused across calls (slot w on
 // the same thread every time, so thread_local state survives the call).
+// A background job runs its slots on the pool's threads, not the
+// caller's, owns the pool until it is joined, hands its lowest error to
+// the join, and is not started from inside a call.
 #include "core/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -181,6 +184,64 @@ TEST(ParallelForRanges, PoolThreadsAreReusedAcrossCalls) {
   for (std::size_t w = 0; w < kWorkers; ++w) {
     EXPECT_GE(last_count[w], kCalls) << "slot " << w;
   }
+}
+
+TEST(StartBackground, RunsOnPoolThreadsWhileTheCallerOwnsThePool) {
+  constexpr std::size_t kWorkers = 3;
+  std::vector<std::thread::id> ran(kWorkers + 1);
+  std::vector<int> calls(kWorkers + 1, 0);
+  // Holds the workers until the caller has checked the pool is owned.
+  std::atomic<bool> go{false};
+  const auto body = [&](std::size_t w) {
+    while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+    ran[w] = std::this_thread::get_id();
+    ++calls[w];
+  };
+  ASSERT_TRUE(start_background(kWorkers, body));
+  // While the job runs the caller owns the pool: its calls run inline,
+  // and a second background job does not start.
+  const std::vector<Partition> inline_call = partitions_of(4, 4);
+  for (const Partition& p : inline_call) {
+    EXPECT_EQ(p.thread, std::this_thread::get_id());
+  }
+  const auto never = [](std::size_t) { ADD_FAILURE() << "second job ran"; };
+  EXPECT_FALSE(start_background(1, never));
+  go.store(true, std::memory_order_release);
+  join_background();
+  EXPECT_EQ(calls[0], 0);  // the caller runs no slot
+  // Slot w ran once, on the pool's thread w, the one a call gives slot w.
+  const std::vector<Partition> after = partitions_of(kWorkers + 1,
+                                                     kWorkers + 1);
+  for (std::size_t w = 1; w <= kWorkers; ++w) {
+    EXPECT_EQ(calls[w], 1) << "slot " << w;
+    EXPECT_EQ(ran[w], after[w].thread) << "slot " << w;
+  }
+}
+
+TEST(StartBackground, ErrorsReachJoinAndThePoolIsReleased) {
+  const auto body = [](std::size_t w) {
+    if (w >= 2) throw std::runtime_error("slot " + std::to_string(w));
+  };
+  ASSERT_TRUE(start_background(3, body));
+  try {
+    join_background();
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "slot 2");
+  }
+  const auto nothing = [](std::size_t) {};
+  ASSERT_TRUE(start_background(2, nothing));
+  join_background();
+  EXPECT_FALSE(start_background(0, nothing));
+}
+
+TEST(StartBackground, NotStartedFromInsideACall) {
+  std::vector<int> started(2, -1);
+  const auto nothing = [](std::size_t) {};
+  parallel_for_ranges(2, 2, [&](std::size_t w, std::size_t, std::size_t) {
+    started[w] = start_background(1, nothing) ? 1 : 0;
+  });
+  EXPECT_EQ(started, (std::vector<int>{0, 0}));
 }
 
 }  // namespace

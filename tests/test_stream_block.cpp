@@ -2,9 +2,11 @@
 // equal shared_neighbors on every edge row however the block was filled,
 // be recomputed after clear() or for another graph, be extended after
 // appends, keep those values when a large fill splits its rows across
-// the worker pool, and give every sink that reads it the same values — so
-// a sink's state does not depend on which sinks read the column before
-// it.
+// the worker pool or is chased by pool workers while the cursor writes
+// it (also when the cursor runs dry mid-block, the block is cleared or
+// destroyed mid-chase, or the pool is already owned), and give every sink
+// that reads it the same values — so a sink's state does not depend on
+// which sinks read the column before it.
 // The pick column must name v's index in N(u) on every edge row every
 // cursor writes, and AssortativitySink must fold the same bytes whether
 // it reads the cursor's picks, locates them (ingest_sample, hand-pushed
@@ -172,6 +174,130 @@ TEST(StreamBlockCodegree, AnotherGraphGetsItsOwnColumn) {
   expect_codegree_matches(block, g1);
   expect_codegree_matches(block, g2);
   expect_codegree_matches(block, g1);
+}
+
+// ---------------------------------------------------------- codegree chase
+
+Graph chase_graph() {
+  Rng rng(21);
+  return barabasi_albert(20000, 3, rng);
+}
+
+std::unique_ptr<FrontierCursor> chase_cursor(const Graph& g,
+                                             std::uint64_t steps) {
+  return std::make_unique<FrontierCursor>(
+      g, FrontierCursor::Config{.dimension = 100, .steps = steps}, Rng(22));
+}
+
+// Whether a cursor fill of `rows` rows, on a block already read for the
+// cursor graph's codegree, is chased here (ctest pins FS_THREADS=4).
+bool chases(std::size_t rows) {
+  return rows >= 2 * kMinRowsPerWorker && default_thread_count() >= 2;
+}
+
+TEST(StreamBlockChase, ChasedBlockEqualsSharedNeighbors) {
+  ASSERT_EQ(kCodegreeChunkRows, 64u);
+  const Graph g = chase_graph();
+  const auto cursor = chase_cursor(g, 5 * 4096);
+  StreamEventBlock block(4096);
+  // Nothing has read the block yet, so its first fill is not chased; the
+  // read asks for every later one.
+  ASSERT_EQ(cursor->next_batch(block), 4096u);
+  EXPECT_FALSE(block.chasing());
+  expect_codegree_matches(block, g);
+  for (int b = 0; b < 4; ++b) {
+    SCOPED_TRACE(b);
+    ASSERT_EQ(cursor->next_batch(block), 4096u);
+    EXPECT_EQ(block.chasing(), chases(4096));
+    expect_codegree_matches(block, g);
+    EXPECT_FALSE(block.chasing());
+  }
+}
+
+TEST(StreamBlockChase, CursorOutOfBudgetMidBlockSealsEarly) {
+  const Graph g = chase_graph();
+  const auto cursor = chase_cursor(g, 4096 + 3001);
+  StreamEventBlock block(4096);
+  ASSERT_EQ(cursor->next_batch(block), 4096u);
+  expect_codegree_matches(block, g);
+  // Chased for up to 4096 rows, sealed at 3001, inside a chunk.
+  ASSERT_EQ(cursor->next_batch(block), 3001u);
+  EXPECT_EQ(block.chasing(), chases(4096));
+  expect_codegree_matches(block, g);
+  // Exhausted: sealed at no rows.
+  EXPECT_EQ(cursor->next_batch(block), 0u);
+  EXPECT_TRUE(block.codegree(g).empty());
+  EXPECT_FALSE(block.chasing());
+}
+
+TEST(StreamBlockChase, ClearOrDestroyWithAChaseInFlightJoins) {
+  const Graph g = chase_graph();
+  const auto cursor = chase_cursor(g, 10 * 4096);
+  {
+    StreamEventBlock block(4096);
+    ASSERT_EQ(cursor->next_batch(block), 4096u);
+    expect_codegree_matches(block, g);
+    ASSERT_EQ(cursor->next_batch(block), 4096u);
+    EXPECT_EQ(block.chasing(), chases(4096));
+    block.clear();
+    EXPECT_FALSE(block.chasing());
+    // A refill after the clear is chased again, and its column is whole.
+    ASSERT_EQ(cursor->next_batch(block), 4096u);
+    EXPECT_EQ(block.chasing(), chases(4096));
+    expect_codegree_matches(block, g);
+    ASSERT_EQ(cursor->next_batch(block), 4096u);
+    EXPECT_EQ(block.chasing(), chases(4096));
+  }
+  // The destroyed block released the pool: another block's fill chases.
+  StreamEventBlock block(4096);
+  ASSERT_EQ(cursor->next_batch(block), 4096u);
+  expect_codegree_matches(block, g);
+  ASSERT_EQ(cursor->next_batch(block), 4096u);
+  EXPECT_EQ(block.chasing(), chases(4096));
+  expect_codegree_matches(block, g);
+}
+
+TEST(StreamBlockChase, FillInsideAPoolCallStartsNoChase) {
+  // Both slots of a running call own the pool's claim, so neither block
+  // chases; each still gets every row.
+  const Graph g = chase_graph();
+  std::vector<int> chased(2, -1);
+  std::vector<std::size_t> wrong(2, 0);
+  parallel_for_ranges(2, 2, [&](std::size_t w, std::size_t, std::size_t) {
+    const auto cursor = chase_cursor(g, 2 * 4096);
+    StreamEventBlock block(4096);
+    cursor->next_batch(block);
+    (void)block.codegree(g);
+    cursor->next_batch(block);
+    chased[w] = block.chasing() ? 1 : 0;
+    const auto f = block.codegree(g);
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      if (f[i] != shared_neighbors(g, block.u()[i], block.v()[i])) ++wrong[w];
+    }
+  });
+  EXPECT_EQ(chased, (std::vector<int>{0, 0}));
+  EXPECT_EQ(wrong, (std::vector<std::size_t>{0, 0}));
+}
+
+TEST(StreamBlockChase, SmallFillsStartNoChase) {
+  const Graph g = chase_graph();
+  const auto cursor = chase_cursor(g, 10 * 4096);
+  StreamEventBlock small(512);
+  ASSERT_EQ(cursor->next_batch(small), 512u);
+  expect_codegree_matches(small, g);
+  ASSERT_EQ(cursor->next_batch(small), 512u);
+  EXPECT_FALSE(small.chasing());
+  expect_codegree_matches(small, g);
+  // On either side of the threshold in a block that could chase.
+  StreamEventBlock block(4096);
+  ASSERT_EQ(cursor->next_batch(block), 4096u);
+  expect_codegree_matches(block, g);
+  ASSERT_EQ(cursor->next_batch(block, 2047), 2047u);
+  EXPECT_FALSE(block.chasing());
+  expect_codegree_matches(block, g);
+  ASSERT_EQ(cursor->next_batch(block, 2048), 2048u);
+  EXPECT_EQ(block.chasing(), chases(2048));
+  expect_codegree_matches(block, g);
 }
 
 std::string state_of(const EstimatorSink& sink) {
