@@ -99,6 +99,10 @@ CurveResult degree_error_curves(const Graph& g,
                                 std::size_t runs,
                                 const ExperimentConfig& cfg);
 
+/// Runs row `figure` (1, 4, 5, 8, 10 or 11) of the degree-CCDF CNMSE table
+/// in bench_common.cpp: FS, SingleRW and MultipleRW at one budget.
+void run_degree_cnmse_figure(BenchSession& session, int figure);
+
 /// Prints a CurveResult as an aligned table plus per-method means.
 void print_curve_result(const std::string& x_name, const CurveResult& result);
 

@@ -1,41 +1,8 @@
-// Figure 1: CNMSE of the in-degree CCDF on Flickr with budget B = |V|/10,
-// SingleRW vs MultipleRW (m = 10, jump cost c = 1, uniform starts).
-// Paper shape: MultipleRW is consistently *less* accurate than SingleRW
-// when walkers start from uniformly sampled vertices.
+// Figure 1 (SingleRW vs MultipleRW): row 1 of the table in bench_common.cpp
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  using namespace frontier;
   using namespace frontier::bench;
   BenchSession session(argc, argv, "bench_fig01_multiplerw_vs_singlerw");
-  const ExperimentConfig& cfg = session.config();
-  const Dataset ds = synthetic_flickr(cfg);
-  const Graph& g = ds.graph;
-
-  const double budget = vertex_fraction_budget(g, 10.0);
-  const std::size_t m = 10;
-  const std::size_t runs = cfg.runs(400);
-
-  print_header("Figure 1: CNMSE of in-degree CCDF, SingleRW vs MultipleRW",
-               g,
-               "B = |V|/10 = " + format_number(budget) +
-                   ", m = 10, c = 1, runs = " + std::to_string(runs));
-
-  const SingleRandomWalk srw(
-      g, {.steps = static_cast<std::uint64_t>(budget) - 1});
-  const MultipleRandomWalks mrw(
-      g, {.num_walkers = m,
-          .steps_per_walker = multiple_rw_steps_per_walker(budget, m, 1.0)});
-
-  const std::vector<EdgeMethod> methods{
-      edge_method("SingleRW", srw),
-      edge_method("MultipleRW(m=10)", mrw),
-  };
-  const CurveResult result =
-      degree_error_curves(g, methods, DegreeKind::kIn, true, runs, cfg);
-  print_curve_result("in-degree", result);
-  session.add_curves(result);
-
-  std::cout << "\nexpected shape: SingleRW below MultipleRW at most degrees\n";
-  return 0;
+  run_degree_cnmse_figure(session, 1);
 }

@@ -1,44 +1,8 @@
-// Figure 4: CNMSE of in-degree CCDF estimates on the *largest connected
-// component* of Flickr, B = |V|/100 — FS vs SingleRW vs MultipleRW, all
-// from uniform starts. Paper shape: FS best even with no disconnected
-// components; SingleRW beats MultipleRW.
+// Figure 4 (LCC of Flickr): row 4 of the table in bench_common.cpp
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  using namespace frontier;
   using namespace frontier::bench;
   BenchSession session(argc, argv, "bench_fig04_flickr_lcc_cnmse");
-  const ExperimentConfig& cfg = session.config();
-  const Dataset ds = synthetic_flickr(cfg);
-  const Graph g = largest_connected_component(ds.graph).graph;
-
-  const double budget = vertex_fraction_budget(g, 100.0);
-  const std::size_t m = scaled_dimension(budget, 17152.0, 1000, 10);
-  const std::size_t runs = cfg.runs(600);
-
-  print_header("Figure 4: CNMSE of in-degree CCDF, LCC of Flickr", g,
-               "B = |V|/100 = " + format_number(budget) + ", m = " +
-                   std::to_string(m) + ", runs = " + std::to_string(runs));
-
-  const FrontierSampler fs(
-      g, {.dimension = m, .steps = frontier_steps(budget, m, 1.0)});
-  const SingleRandomWalk srw(
-      g, {.steps = static_cast<std::uint64_t>(budget) - 1});
-  const MultipleRandomWalks mrw(
-      g, {.num_walkers = m,
-          .steps_per_walker = multiple_rw_steps_per_walker(budget, m, 1.0)});
-
-  const std::vector<EdgeMethod> methods{
-      edge_method("FS(m=" + std::to_string(m) + ")", fs),
-      edge_method("SingleRW", srw),
-      edge_method("MultipleRW(m=" + std::to_string(m) + ")", mrw),
-  };
-  const CurveResult result =
-      degree_error_curves(g, methods, DegreeKind::kIn, true, runs, cfg);
-  print_curve_result("in-degree", result);
-  session.add_curves(result);
-  std::cout << "\nexpected shape: FS lowest (paper: FS < SingleRW < "
-               "MultipleRW; at bench scale MultipleRW ties FS while "
-               "SingleRW trails — the community traps dominate here)\n";
-  return 0;
+  run_degree_cnmse_figure(session, 4);
 }

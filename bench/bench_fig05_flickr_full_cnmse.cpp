@@ -1,42 +1,8 @@
-// Figure 5: same experiment as Figure 4 but on the *complete* (disconnected)
-// Flickr graph. Paper shape: the FS advantage over SingleRW/MultipleRW
-// widens substantially relative to Figure 4.
+// Figure 5 (complete Flickr): row 5 of the table in bench_common.cpp
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  using namespace frontier;
   using namespace frontier::bench;
   BenchSession session(argc, argv, "bench_fig05_flickr_full_cnmse");
-  const ExperimentConfig& cfg = session.config();
-  const Dataset ds = synthetic_flickr(cfg);
-  const Graph& g = ds.graph;
-
-  const double budget = vertex_fraction_budget(g, 100.0);
-  const std::size_t m = scaled_dimension(budget, 17152.0, 1000, 10);
-  const std::size_t runs = cfg.runs(600);
-
-  print_header("Figure 5: CNMSE of in-degree CCDF, complete Flickr", g,
-               "B = |V|/100 = " + format_number(budget) + ", m = " +
-                   std::to_string(m) + ", runs = " + std::to_string(runs));
-
-  const FrontierSampler fs(
-      g, {.dimension = m, .steps = frontier_steps(budget, m, 1.0)});
-  const SingleRandomWalk srw(
-      g, {.steps = static_cast<std::uint64_t>(budget) - 1});
-  const MultipleRandomWalks mrw(
-      g, {.num_walkers = m,
-          .steps_per_walker = multiple_rw_steps_per_walker(budget, m, 1.0)});
-
-  const std::vector<EdgeMethod> methods{
-      edge_method("FS(m=" + std::to_string(m) + ")", fs),
-      edge_method("SingleRW", srw),
-      edge_method("MultipleRW(m=" + std::to_string(m) + ")", mrw),
-  };
-  const CurveResult result =
-      degree_error_curves(g, methods, DegreeKind::kIn, true, runs, cfg);
-  print_curve_result("in-degree", result);
-  session.add_curves(result);
-  std::cout << "\nexpected shape: FS < SingleRW < MultipleRW, with a wider "
-               "FS gap than Figure 4 (disconnected components)\n";
-  return 0;
+  run_degree_cnmse_figure(session, 5);
 }

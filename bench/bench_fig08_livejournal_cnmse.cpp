@@ -1,42 +1,8 @@
-// Figure 8: CNMSE of the out-degree distribution estimates on LiveJournal,
-// budget B = |V|/100 — FS vs SingleRW vs MultipleRW. Paper shape: FS up to
-// an order of magnitude more accurate at small out-degrees.
+// Figure 8 (LiveJournal out-degree): row 8 of the table in bench_common.cpp
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  using namespace frontier;
   using namespace frontier::bench;
   BenchSession session(argc, argv, "bench_fig08_livejournal_cnmse");
-  const ExperimentConfig& cfg = session.config();
-  const Dataset ds = synthetic_livejournal(cfg);
-  const Graph& g = ds.graph;
-
-  const double budget = vertex_fraction_budget(g, 100.0);
-  const std::size_t m = scaled_dimension(budget, 52844.0, 1000, 10);
-  const std::size_t runs = cfg.runs(600);
-
-  print_header("Figure 8: CNMSE of out-degree CCDF, LiveJournal", g,
-               "B = |V|/100 = " + format_number(budget) + ", m = " +
-                   std::to_string(m) + ", runs = " + std::to_string(runs));
-
-  const FrontierSampler fs(
-      g, {.dimension = m, .steps = frontier_steps(budget, m, 1.0)});
-  const SingleRandomWalk srw(
-      g, {.steps = static_cast<std::uint64_t>(budget) - 1});
-  const MultipleRandomWalks mrw(
-      g, {.num_walkers = m,
-          .steps_per_walker = multiple_rw_steps_per_walker(budget, m, 1.0)});
-
-  const std::vector<EdgeMethod> methods{
-      edge_method("FS(m=" + std::to_string(m) + ")", fs),
-      edge_method("SingleRW", srw),
-      edge_method("MultipleRW(m=" + std::to_string(m) + ")", mrw),
-  };
-  const CurveResult result =
-      degree_error_curves(g, methods, DegreeKind::kOut, true, runs, cfg);
-  print_curve_result("out-degree", result);
-  session.add_curves(result);
-  std::cout << "\nexpected shape: FS lowest, biggest margin at small "
-               "out-degrees\n";
-  return 0;
+  run_degree_cnmse_figure(session, 8);
 }

@@ -1,44 +1,8 @@
-// Figure 10: CNMSE of the degree-distribution estimates on G_AB with
-// budget B = |V|/100 — FS vs SingleRW vs MultipleRW (m = 100, shared
-// uniform starts). Paper shape: FS consistently lowest; the loosely
-// connected bridge traps the independent walkers.
+// Figure 10 (G_AB): row 10 of the table in bench_common.cpp
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  using namespace frontier;
   using namespace frontier::bench;
   BenchSession session(argc, argv, "bench_fig10_gab_cnmse");
-  const ExperimentConfig& cfg = session.config();
-  const Dataset ds = synthetic_gab(cfg);
-  const Graph& g = ds.graph;
-
-  const double budget = vertex_fraction_budget(g, 10.0);
-  const std::size_t m = 100;
-  const std::size_t runs = cfg.runs(600);
-
-  print_header("Figure 10: CNMSE of degree CCDF, GAB graph", g,
-               "B = |V|/10 = " + format_number(budget) + ", m = " +
-                   std::to_string(m) + ", runs = " + std::to_string(runs) +
-                   " (budget raised from the paper's |V|/100 so each "
-                   "MultipleRW walker takes >= 1 step at bench scale)");
-
-  const FrontierSampler fs(
-      g, {.dimension = m, .steps = frontier_steps(budget, m, 1.0)});
-  const SingleRandomWalk srw(
-      g, {.steps = static_cast<std::uint64_t>(budget) - 1});
-  const MultipleRandomWalks mrw(
-      g, {.num_walkers = m,
-          .steps_per_walker = multiple_rw_steps_per_walker(budget, m, 1.0)});
-
-  const std::vector<EdgeMethod> methods{
-      edge_method("FS(m=100)", fs),
-      edge_method("SingleRW", srw),
-      edge_method("MultipleRW(m=100)", mrw),
-  };
-  const CurveResult result = degree_error_curves(
-      g, methods, DegreeKind::kSymmetric, true, runs, cfg);
-  print_curve_result("degree", result);
-  session.add_curves(result);
-  std::cout << "\nexpected shape: FS lowest across the whole degree range\n";
-  return 0;
+  run_degree_cnmse_figure(session, 10);
 }

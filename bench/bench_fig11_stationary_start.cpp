@@ -1,48 +1,8 @@
-// Figure 11: the Figure 5 experiment with SingleRW and MultipleRW started
-// *in steady state* (degree-proportional starts) instead of uniformly.
-// Paper shape: MultipleRW improves dramatically and matches FS — proving
-// the Figure 5 errors came from the uniform starting vertices.
+// Figure 11 (steady-state starts): row 11 of the table in bench_common.cpp
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  using namespace frontier;
   using namespace frontier::bench;
   BenchSession session(argc, argv, "bench_fig11_stationary_start");
-  const ExperimentConfig& cfg = session.config();
-  const Dataset ds = synthetic_flickr(cfg);
-  const Graph& g = ds.graph;
-
-  const double budget = vertex_fraction_budget(g, 100.0);
-  const std::size_t m = scaled_dimension(budget, 17152.0, 1000, 10);
-  const std::size_t runs = cfg.runs(600);
-
-  print_header(
-      "Figure 11: CNMSE of in-degree CCDF, Flickr; SRW/MRW start in "
-      "steady state",
-      g,
-      "B = |V|/100 = " + format_number(budget) + ", m = " +
-          std::to_string(m) + ", runs = " + std::to_string(runs));
-
-  const FrontierSampler fs(
-      g, {.dimension = m, .steps = frontier_steps(budget, m, 1.0)});
-  const SingleRandomWalk srw_ss(
-      g, {.steps = static_cast<std::uint64_t>(budget) - 1,
-          .start = StartMode::kDegreeProportional});
-  const MultipleRandomWalks mrw_ss(
-      g, {.num_walkers = m,
-          .steps_per_walker = multiple_rw_steps_per_walker(budget, m, 1.0),
-          .start = StartMode::kDegreeProportional});
-
-  const std::vector<EdgeMethod> methods{
-      edge_method("FS(m=" + std::to_string(m) + ",uniform)", fs),
-      edge_method("SingleRW(steady)", srw_ss),
-      edge_method("MultipleRW(steady)", mrw_ss),
-  };
-  const CurveResult result =
-      degree_error_curves(g, methods, DegreeKind::kIn, true, runs, cfg);
-  print_curve_result("in-degree", result);
-  session.add_curves(result);
-  std::cout << "\nexpected shape: all three methods now comparable "
-               "(MultipleRW's Figure 5 errors were start-up transients)\n";
-  return 0;
+  run_degree_cnmse_figure(session, 11);
 }

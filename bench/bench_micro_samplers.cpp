@@ -125,19 +125,6 @@ void BM_DegreeDistributionEstimator(benchmark::State& state) {
 }
 BENCHMARK(BM_DegreeDistributionEstimator);
 
-void BM_JointDegreeAbsorb(benchmark::State& state) {
-  const Graph& g = bench_graph();
-  const SingleRandomWalk walker(g, {.steps = 100000});
-  Rng rng(10);
-  const SampleRecord rec = walker.run(rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(estimate_joint_degree(g, rec.edges));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(rec.edges.size()));
-}
-BENCHMARK(BM_JointDegreeAbsorb);
-
 void BM_GraphBuild(benchmark::State& state) {
   Rng rng(8);
   for (auto _ : state) {

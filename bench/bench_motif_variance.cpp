@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
     std::function<std::unique_ptr<SamplerCursor>(Rng)> make_cursor;
   };
   const std::uint64_t fs_steps = frontier_steps(budget, m, 1.0);
-  const auto srw_steps = static_cast<std::uint64_t>(budget) - 1;
+  const auto srw_steps = single_rw_steps(budget);
   const std::vector<Method> methods = {
       {"fs",
        [&](Rng rng) {

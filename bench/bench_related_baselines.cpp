@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const FrontierSampler fs(
       g, {.dimension = m, .steps = frontier_steps(budget, m, 1.0)});
   const MetropolisHastingsWalk mh(
-      g, {.steps = static_cast<std::uint64_t>(budget) - 1});
+      g, {.steps = single_rw_steps(budget)});
   const RandomWalkWithJumps rwj_cheap(
       g, {.budget = budget, .jump_probability = 0.15});
   const RandomWalkWithJumps rwj_pricey(

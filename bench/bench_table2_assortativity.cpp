@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
         g, {.num_walkers = m,
             .steps_per_walker = multiple_rw_steps_per_walker(budget, m, 1.0)});
     const SingleRandomWalk srw(
-        g, {.steps = static_cast<std::uint64_t>(budget) - 1});
+        g, {.steps = single_rw_steps(budget)});
 
     const auto eval = [&](const std::function<std::vector<Edge>(Rng&)>& run,
                           std::uint64_t salt) {

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     const FrontierSampler fs(
         g, {.dimension = m, .steps = frontier_steps(budget, m, 1.0)});
     const SingleRandomWalk srw(
-        g, {.steps = static_cast<std::uint64_t>(budget) - 1});
+        g, {.steps = single_rw_steps(budget)});
     const MultipleRandomWalks mrw(
         g, {.num_walkers = m,
             .steps_per_walker = multiple_rw_steps_per_walker(budget, m, 1.0)});

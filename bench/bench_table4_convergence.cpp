@@ -39,8 +39,7 @@ int main(int argc, char** argv) {
     Rng mc(cfg.seed ^ 0x7ab1e4ULL);
     const double fs = fs_edge_deficit_mc(
         lcc, k, static_cast<std::uint64_t>(row.budget) - k, mc_runs, mc);
-    const double srw = srw_edge_deficit_exact(
-        lcc, static_cast<std::uint64_t>(row.budget) - 1);
+    const double srw = srw_edge_deficit_exact(lcc, single_rw_steps(row.budget));
     const double mrw = mrw_edge_deficit_exact(lcc, k, row.budget);
     table.add_row({row.ds.name, format_number(row.budget, 3),
                    format_percent(fs), format_percent(mrw),

@@ -53,7 +53,7 @@ int main() {
          estimate_vertex_label_density(g, fs.run(rng).edges, pred));
 
   const SingleRandomWalk srw(
-      g, {.steps = static_cast<std::uint64_t>(budget) - 1});
+      g, {.steps = single_rw_steps(budget)});
   report("SingleRW",
          estimate_vertex_label_density(g, srw.run(rng).edges, pred));
 

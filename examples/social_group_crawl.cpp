@@ -41,7 +41,7 @@ int main() {
 
   // Single random walk crawl.
   const SingleRandomWalk srw(
-      g, {.steps = static_cast<std::uint64_t>(budget) - 1});
+      g, {.steps = single_rw_steps(budget)});
   const auto srw_est =
       estimate_group_densities(g, srw.run(rng).edges, groups_of, top);
 

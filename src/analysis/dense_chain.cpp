@@ -76,21 +76,6 @@ DenseChain random_walk_chain(const Graph& g) {
   return chain;
 }
 
-DenseChain lazy_random_walk_chain(const Graph& g) {
-  DenseChain chain(g.num_vertices());
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    const auto nbrs = g.neighbors(u);
-    if (nbrs.empty()) {
-      chain.set(u, u, 1.0);
-      continue;
-    }
-    chain.set(u, u, 0.5);
-    const double p = 0.5 / static_cast<double>(nbrs.size());
-    for (VertexId v : nbrs) chain.set(u, v, chain.get(u, v) + p);
-  }
-  return chain;
-}
-
 double total_variation(std::span<const double> a, std::span<const double> b) {
   if (a.size() != b.size()) {
     throw std::invalid_argument("total_variation: size mismatch");

@@ -54,9 +54,6 @@ class DenseChain {
 /// (self-loop) so the matrix stays stochastic.
 [[nodiscard]] DenseChain random_walk_chain(const Graph& g);
 
-/// Transition matrix of the lazy walk: stay with prob 1/2, else RW step.
-[[nodiscard]] DenseChain lazy_random_walk_chain(const Graph& g);
-
 /// Total variation distance between two distributions of equal length.
 [[nodiscard]] double total_variation(std::span<const double> a,
                                      std::span<const double> b);

@@ -60,11 +60,6 @@ std::uint64_t exact_triangle_count(const Graph& g) {
   return sum / 3;
 }
 
-std::vector<std::uint64_t> exact_triangles_per_vertex(const Graph& g) {
-  require_simple_graph(g);
-  return triangles_per_vertex(g);
-}
-
 std::uint64_t exact_wedge_count(const Graph& g) {
   require_simple_graph(g);
   std::uint64_t wedges = 0;
@@ -203,78 +198,6 @@ MotifCounts exact_motif_counts(const Graph& g) {
   out.diamond = static_cast<std::uint64_t>(diamond_i);
   out.clique4 = static_cast<std::uint64_t>(k4);
   return out;
-}
-
-namespace {
-
-// Bron–Kerbosch with pivoting over sorted CSR adjacency. P and X are
-// sorted vertex vectors; neighborhood intersection uses binary-searched
-// has_edge, which is O(log deg) per probe.
-struct BronKerbosch {
-  const Graph& g;
-  CliqueSummary summary;
-  std::uint32_t depth = 0;
-
-  void run(std::vector<VertexId> p, std::vector<VertexId> x) {
-    if (p.empty() && x.empty()) {
-      // depth == 0 only for the empty graph, whose empty R is not a clique.
-      if (depth > 0) {
-        ++summary.maximal_cliques;
-        summary.max_clique_size = std::max(summary.max_clique_size, depth);
-      }
-      return;
-    }
-    // Pivot: the vertex of P ∪ X covering the most of P; its neighbors
-    // need not be branched on.
-    VertexId pivot = kInvalidVertex;
-    std::size_t best = 0;
-    bool have_pivot = false;
-    auto consider = [&](VertexId u) {
-      std::size_t covered = 0;
-      for (VertexId w : p) {
-        if (g.has_edge(u, w)) ++covered;
-      }
-      if (!have_pivot || covered > best) {
-        have_pivot = true;
-        best = covered;
-        pivot = u;
-      }
-    };
-    for (VertexId u : p) consider(u);
-    for (VertexId u : x) consider(u);
-
-    std::vector<VertexId> candidates;
-    for (VertexId u : p) {
-      if (!g.has_edge(pivot, u)) candidates.push_back(u);
-    }
-    for (VertexId u : candidates) {
-      std::vector<VertexId> p_next;
-      std::vector<VertexId> x_next;
-      for (VertexId w : p) {
-        if (g.has_edge(u, w)) p_next.push_back(w);
-      }
-      for (VertexId w : x) {
-        if (g.has_edge(u, w)) x_next.push_back(w);
-      }
-      ++depth;
-      run(std::move(p_next), std::move(x_next));
-      --depth;
-      // Move u from P to X.
-      p.erase(std::find(p.begin(), p.end(), u));
-      x.insert(std::lower_bound(x.begin(), x.end(), u), u);
-    }
-  }
-};
-
-}  // namespace
-
-CliqueSummary exact_clique_summary(const Graph& g) {
-  require_simple_graph(g);
-  std::vector<VertexId> p(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) p[v] = v;
-  BronKerbosch bk{g, {}, 0};
-  bk.run(std::move(p), {});
-  return bk.summary;
 }
 
 }  // namespace frontier

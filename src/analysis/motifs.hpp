@@ -37,11 +37,6 @@ void common_neighbors(const Graph& g, VertexId u, VertexId v,
 /// Exact number of triangles in G (each counted once).
 [[nodiscard]] std::uint64_t exact_triangle_count(const Graph& g);
 
-/// Exact ∆(v) per vertex: triangles through v. Equivalent to
-/// triangles_per_vertex (graph/metrics.hpp) plus the simplicity check.
-[[nodiscard]] std::vector<std::uint64_t> exact_triangles_per_vertex(
-    const Graph& g);
-
 /// Exact number of wedges (paths of length 2): Σ_v C(deg(v), 2).
 [[nodiscard]] std::uint64_t exact_wedge_count(const Graph& g);
 
@@ -80,15 +75,5 @@ struct MotifCounts {
 /// per-edge codegree intersections plus Σ_e C(f_e, 2) adjacency probes for K4;
 /// memory is O(#wedges) for the C4 codegree-pair table.
 [[nodiscard]] MotifCounts exact_motif_counts(const Graph& g);
-
-/// Maximal-clique summary via Bron–Kerbosch with pivoting: the number of
-/// maximal cliques (isolated vertices count as maximal 1-cliques) and the
-/// clique number ω(G).
-struct CliqueSummary {
-  std::uint64_t maximal_cliques = 0;
-  std::uint32_t max_clique_size = 0;
-};
-
-[[nodiscard]] CliqueSummary exact_clique_summary(const Graph& g);
 
 }  // namespace frontier

@@ -60,7 +60,6 @@
 #include "estimators/assortativity.hpp"
 #include "estimators/clustering.hpp"
 #include "estimators/graph_moments.hpp"
-#include "estimators/joint_degree.hpp"
 
 #include "stats/accumulators.hpp"
 #include "stats/bench_report.hpp"

@@ -4,7 +4,7 @@
 
 namespace frontier {
 
-// uniform_index / uniform_range / bernoulli are defined inline in rng.hpp:
+// uniform_index / bernoulli are defined inline in rng.hpp:
 // they sit on the innermost walker-step path and must inline into the
 // batched cursor loops. The draws below involve libm calls, so an
 // out-of-line definition costs nothing.

@@ -143,12 +143,6 @@ inline void mul64x64(std::uint64_t a, std::uint64_t b, std::uint64_t& hi,
   return hi;
 }
 
-/// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
-[[nodiscard]] inline std::uint64_t uniform_range(Rng& rng, std::uint64_t lo,
-                                                 std::uint64_t hi) noexcept {
-  return lo + uniform_index(rng, hi - lo + 1);
-}
-
 /// Bernoulli draw with success probability p (clamped to [0,1]).
 [[nodiscard]] inline bool bernoulli(Rng& rng, double p) noexcept {
   if (p <= 0.0) return false;

@@ -35,4 +35,11 @@ std::uint64_t frontier_steps(double budget, std::size_t m, double jump_cost) {
                   "frontier_steps");
 }
 
+std::uint64_t single_rw_steps(double budget) {
+  // Subtract in integers: floor(B) - 1.0 rounds back to floor(B) above 2^53.
+  const std::uint64_t whole =
+      to_steps(budget, std::floor(budget), "single_rw_steps");
+  return whole == 0 ? 0 : whole - 1;
+}
+
 }  // namespace frontier

@@ -7,7 +7,8 @@
 //     lands on a valid vertex; every attempt is paid for (Section 6.4).
 //
 // MultipleRW with m walkers gives each walker floor(B/m - c) steps
-// (Section 4.4); FS walks until n >= B - m*c (Algorithm 1, line 8).
+// (Section 4.4); FS walks until n >= B - m*c (Algorithm 1, line 8); a
+// single walker pays 1 for its start and walks floor(B) - 1 steps.
 #pragma once
 
 #include <cstdint>
@@ -36,5 +37,10 @@ struct CostModel {
 /// std::invalid_argument for a non-finite B or a NaN or >= 2^64 count.
 [[nodiscard]] std::uint64_t frontier_steps(double budget, std::size_t m,
                                            double jump_cost);
+
+/// Steps a single walker (SingleRW, MH) takes under budget B: floor(B) - 1,
+/// and 0 when B < 1. Throws std::invalid_argument for a non-finite or
+/// >= 2^64 B.
+[[nodiscard]] std::uint64_t single_rw_steps(double budget);
 
 }  // namespace frontier

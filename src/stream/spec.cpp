@@ -47,10 +47,6 @@ CrawlSpec CrawlSpec::normalized(bool* clamped) const {
   return out;
 }
 
-std::uint64_t CrawlSpec::walk_steps() const {
-  return budget >= 1.0 ? static_cast<std::uint64_t>(budget) - 1 : 0;
-}
-
 std::unique_ptr<SamplerCursor> CrawlSpec::make_cursor(const Graph& g) const {
   Rng rng(seed);
   if (method == "fs") {
@@ -63,7 +59,7 @@ std::unique_ptr<SamplerCursor> CrawlSpec::make_cursor(const Graph& g) const {
   }
   if (method == "srw") {
     return std::make_unique<SingleRwCursor>(
-        g, SingleRwCursor::Config{.steps = walk_steps()}, rng);
+        g, SingleRwCursor::Config{.steps = single_rw_steps(budget)}, rng);
   }
   if (method == "mrw") {
     return std::make_unique<MultipleRwCursor>(
@@ -76,7 +72,7 @@ std::unique_ptr<SamplerCursor> CrawlSpec::make_cursor(const Graph& g) const {
   }
   if (method == "mh") {
     return std::make_unique<MetropolisCursor>(
-        g, MetropolisCursor::Config{.steps = walk_steps()}, rng);
+        g, MetropolisCursor::Config{.steps = single_rw_steps(budget)}, rng);
   }
   if (method == "rwj") {
     return std::make_unique<RwjCursor>(

@@ -46,9 +46,6 @@ struct CrawlSpec {
   /// applied. Sets *clamped when the dimension moved. validate()s first.
   [[nodiscard]] CrawlSpec normalized(bool* clamped = nullptr) const;
 
-  /// Single-walker step count B - 1 (0 for sub-unit budgets).
-  [[nodiscard]] std::uint64_t walk_steps() const;
-
   /// The spec's cursor over `g`, RNG seeded from `seed`. Requires a
   /// normalized() spec (call sites assert nothing; an over-wide dimension
   /// simply produces the unclamped crawl).

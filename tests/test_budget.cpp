@@ -40,6 +40,30 @@ TEST(FrontierSteps, ClampsAtZero) {
   EXPECT_EQ(frontier_steps(5.0, 100, 1.0), 0u);
 }
 
+TEST(SingleRwSteps, FloorMinusOneClampedAtZero) {
+  // The walker's start costs 1; the rest of floor(B) buys steps.
+  EXPECT_EQ(single_rw_steps(0.0), 0u);
+  EXPECT_EQ(single_rw_steps(0.5), 0u);
+  EXPECT_EQ(single_rw_steps(1.0), 0u);
+  EXPECT_EQ(single_rw_steps(1.5), 0u);
+  EXPECT_EQ(single_rw_steps(2.0), 1u);
+  EXPECT_EQ(single_rw_steps(1000.9), 999u);
+  EXPECT_EQ(single_rw_steps(9007199254740992.0), 9007199254740991u);  // 2^53
+  EXPECT_EQ(single_rw_steps(-3.0), 0u);
+}
+
+TEST(SingleRwSteps, RejectsNonFiniteAndHugeBudgets) {
+  for (const double budget : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity(),
+                              18446744073709551616.0}) {  // 2^64
+    EXPECT_THROW((void)single_rw_steps(budget), std::invalid_argument)
+        << budget;
+  }
+  // Subtracted in integers, so the largest count below 2^64 stays exact.
+  EXPECT_EQ(single_rw_steps(18446744073709549568.0), 18446744073709549567u);
+}
+
 // A NaN, infinite or >= 2^64 step count has no uint64_t value; casting
 // one is undefined (in practice NaN gave 2^63 FS steps and +inf gave 0).
 TEST(StepHelpers, RejectNonFiniteAndHugeBudgets) {

@@ -197,6 +197,8 @@ INSTANTIATE_TEST_SUITE_P(Dims, FrontierDimensionSweep,
 std::uint64_t hash_record(const SampleRecord& rec, const Rng& rng) {
   std::uint64_t h = kFnv1aOffsetBasis;
   h = fnv1a_bytes(h, rec.edges.data(), rec.edges.size() * sizeof(Edge));
+  h = fnv1a_bytes(h, rec.vertices.data(),
+                  rec.vertices.size() * sizeof(VertexId));
   h = fnv1a_bytes(h, rec.starts.data(),
                   rec.starts.size() * sizeof(VertexId));
   h = fnv1a_bytes(h, &rec.cost, sizeof(rec.cost));
@@ -261,6 +263,67 @@ TEST(FrontierPin, CheckpointAndResumeMatchPinnedHashes) {
     EXPECT_EQ(rec.edges.size(), 20000u - 7919u);
     EXPECT_EQ(hash_record(rec, resumed.rng()), kExpected[k][1]) << "m " << m;
   }
+}
+
+// The other four walk cursors, pinned the FrontierPin way: {batch run of
+// WalkSampler<Cursor>, checkpoint bytes after one block of 7919 events,
+// the resumed run}. A change that moves them changes that method's law.
+template <typename Cursor>
+std::array<std::uint64_t, 3> cursor_pins(const typename Cursor::Config& cfg,
+                                         std::uint64_t seed) {
+  const Graph& g = pin_graph();
+  Rng rng(seed);
+  const SampleRecord batch = WalkSampler<Cursor>(g, cfg).run(rng);
+
+  Cursor cursor(g, cfg, Rng(seed + 1));
+  StreamEventBlock block(7919);
+  EXPECT_EQ(cursor.next_batch(block, block.capacity()), 7919u);
+  std::ostringstream os;
+  cursor.save_state(os);
+  const std::string bytes = os.str();
+
+  Cursor resumed(g, cfg, Rng(1));
+  std::istringstream is(bytes);
+  resumed.load_state(is);
+  const SampleRecord rest = drain_cursor(resumed);
+  return {hash_record(batch, rng),
+          fnv1a_bytes(kFnv1aOffsetBasis, bytes.data(), bytes.size()),
+          hash_record(rest, resumed.rng())};
+}
+
+using Pins = std::array<std::uint64_t, 3>;
+
+TEST(WalkCursorPin, SingleRwMatchesPinnedHashes) {
+  EXPECT_EQ(cursor_pins<SingleRwCursor>({.steps = 20000, .burn_in = 50}, 300),
+            (Pins{0xecaf8816e5912edeULL, 0xcd912f88c0e82016ULL,
+                  0xb093d3022a7151cfULL}));
+  EXPECT_EQ(cursor_pins<SingleRwCursor>(
+                {.steps = 20000, .burn_in = 50, .laziness = 0.3}, 310),
+            (Pins{0x06db1e35741c8be4ULL, 0x2137b77d99ee1178ULL,
+                  0xdaaef7ed04238dfaULL}));
+}
+
+TEST(WalkCursorPin, MultipleRwMatchesPinnedHashes) {
+  EXPECT_EQ(cursor_pins<MultipleRwCursor>(
+                {.num_walkers = 10, .steps_per_walker = 2000}, 320),
+            (Pins{0x92e2230b73cd50e4ULL, 0xb4b6f960a669ca35ULL,
+                  0x07d48a4a559b02ddULL}));
+}
+
+TEST(WalkCursorPin, MetropolisMatchesPinnedHashes) {
+  EXPECT_EQ(cursor_pins<MetropolisCursor>({.steps = 20000}, 330),
+            (Pins{0x2a6b4a8b970778b9ULL, 0xd11567cea6a06dcfULL,
+                  0x56bbb49a5d86bc7bULL}));
+}
+
+TEST(WalkCursorPin, RwjMatchesPinnedHashes) {
+  EXPECT_EQ(cursor_pins<RwjCursor>(
+                {.budget = 20000.0,
+                 .jump_probability = 0.1,
+                 .cost = {.jump_cost = 1.0, .hit_ratio = 0.5}},
+                340),
+            (Pins{0x00be2af35cf7f4faULL, 0xb765dd1b5b6d2befULL,
+                  0xdace76b588272b38ULL}));
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ TEST(ExactMotifs, CompleteGraphK4) {
   EXPECT_EQ(exact_triangle_count(g), 4u);
   EXPECT_EQ(exact_wedge_count(g), 12u);
   EXPECT_DOUBLE_EQ(exact_transitivity(g), 1.0);
-  EXPECT_EQ(exact_triangles_per_vertex(g),
+  EXPECT_EQ(triangles_per_vertex(g),
             (std::vector<std::uint64_t>{3, 3, 3, 3}));
 
   const MotifCounts m = exact_motif_counts(g);
@@ -49,10 +49,6 @@ TEST(ExactMotifs, CompleteGraphK4) {
   EXPECT_EQ(m.diamond, 0u);
   EXPECT_EQ(m.clique4, 1u);
 
-  const CliqueSummary cs = exact_clique_summary(g);
-  EXPECT_EQ(cs.maximal_cliques, 1u);
-  EXPECT_EQ(cs.max_clique_size, 4u);
-
   const std::vector<double> curve = exact_local_clustering_by_degree(g);
   ASSERT_EQ(curve.size(), 4u);
   EXPECT_DOUBLE_EQ(curve[3], 1.0);
@@ -64,9 +60,6 @@ TEST(ExactMotifs, CompleteGraphK5) {
   EXPECT_EQ(m.triangle, 10u);
   EXPECT_EQ(m.clique4, 5u);  // C(5, 4)
   EXPECT_EQ(m.wedge + m.path4 + m.claw + m.cycle4 + m.paw + m.diamond, 0u);
-  const CliqueSummary cs = exact_clique_summary(g);
-  EXPECT_EQ(cs.maximal_cliques, 1u);
-  EXPECT_EQ(cs.max_clique_size, 5u);
 }
 
 TEST(ExactMotifs, CycleC5) {
@@ -84,10 +77,6 @@ TEST(ExactMotifs, CycleC5) {
   EXPECT_EQ(m.paw, 0u);
   EXPECT_EQ(m.diamond, 0u);
   EXPECT_EQ(m.clique4, 0u);
-
-  const CliqueSummary cs = exact_clique_summary(g);
-  EXPECT_EQ(cs.maximal_cliques, 5u);  // the edges
-  EXPECT_EQ(cs.max_clique_size, 2u);
 }
 
 TEST(ExactMotifs, PetersenGraph) {
@@ -105,10 +94,6 @@ TEST(ExactMotifs, PetersenGraph) {
   EXPECT_EQ(m.paw, 0u);
   EXPECT_EQ(m.diamond, 0u);
   EXPECT_EQ(m.clique4, 0u);
-
-  const CliqueSummary cs = exact_clique_summary(g);
-  EXPECT_EQ(cs.maximal_cliques, 15u);  // triangle-free: every edge
-  EXPECT_EQ(cs.max_clique_size, 2u);
 }
 
 TEST(ExactMotifs, CompleteBipartiteK34) {
@@ -211,7 +196,7 @@ TEST(ExactMotifs, MatchesBruteForceOnRandomGraphs) {
 TEST(ExactMotifs, LocalClusteringCurveMatchesDefinition) {
   Rng rng(99);
   const Graph g = barabasi_albert(200, 3, rng);
-  const std::vector<std::uint64_t> tri = exact_triangles_per_vertex(g);
+  const std::vector<std::uint64_t> tri = triangles_per_vertex(g);
   const std::vector<double> curve = exact_local_clustering_by_degree(g);
   // Recompute each class mean directly from ∆(v) / C(k, 2).
   std::vector<double> sum(curve.size(), 0.0);
@@ -263,7 +248,6 @@ TEST(ExactMotifs, RejectsSelfLoops) {
   const Graph g = graph_with_self_loop();
   EXPECT_THROW((void)exact_triangle_count(g), std::invalid_argument);
   EXPECT_THROW((void)exact_motif_counts(g), std::invalid_argument);
-  EXPECT_THROW((void)exact_clique_summary(g), std::invalid_argument);
   EXPECT_THROW((void)exact_local_clustering_by_degree(g), std::invalid_argument);
 }
 
@@ -279,14 +263,10 @@ TEST(ExactMotifs, EmptyAndTinyGraphs) {
   const Graph empty = complete_graph(0);
   EXPECT_EQ(exact_triangle_count(empty), 0u);
   EXPECT_EQ(exact_motif_counts(empty).wedge, 0u);
-  EXPECT_EQ(exact_clique_summary(empty).maximal_cliques, 0u);
 
   const Graph one_edge = path_graph(2);
   EXPECT_EQ(exact_triangle_count(one_edge), 0u);
   EXPECT_DOUBLE_EQ(exact_transitivity(one_edge), 0.0);
-  const CliqueSummary cs = exact_clique_summary(one_edge);
-  EXPECT_EQ(cs.maximal_cliques, 1u);
-  EXPECT_EQ(cs.max_clique_size, 2u);
 }
 
 }  // namespace

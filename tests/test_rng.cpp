@@ -4,7 +4,6 @@
 
 #include <array>
 #include <cmath>
-#include <set>
 #include <vector>
 
 namespace frontier {
@@ -87,15 +86,6 @@ TEST(UniformIndex, IsApproximatelyUniform) {
   for (int c : counts) {
     EXPECT_NEAR(static_cast<double>(c) / n, 0.1, 0.01);
   }
-}
-
-TEST(UniformRange, InclusiveBounds) {
-  Rng rng(19);
-  std::set<std::uint64_t> seen;
-  for (int i = 0; i < 1000; ++i) seen.insert(uniform_range(rng, 5, 8));
-  EXPECT_EQ(seen.size(), 4u);
-  EXPECT_EQ(*seen.begin(), 5u);
-  EXPECT_EQ(*seen.rbegin(), 8u);
 }
 
 TEST(Bernoulli, DegenerateProbabilities) {
