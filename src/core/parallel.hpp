@@ -22,8 +22,8 @@
 // run, and join_background waits for them. The job owns the pool like a
 // call does, from start to join, so every call made meanwhile runs
 // inline; a background job that cannot claim the pool is not started
-// (the streaming codegree chase, stream/block.hpp, then fills on the
-// caller).
+// (the streaming block's chase, stream/block.hpp, then fills and folds
+// on the caller).
 #pragma once
 
 #include <algorithm>

@@ -6,9 +6,9 @@ namespace frontier {
 
 std::size_t SamplerCursor::next_batch(StreamEventBlock& block,
                                       std::size_t max_steps) {
-  block.clear(*graph_);
+  block.begin_fill(*graph_);
   const std::size_t want = std::min(max_steps, block.capacity());
-  if (!block.chase(*graph_, want)) return append_batch(block, want);
+  if (!block.chase(want)) return append_batch(block, want);
   std::size_t taken = 0;
   try {
     while (taken < want) {

@@ -75,18 +75,20 @@ class SamplerCursor {
   /// next_batch() against it; production code does not call it.
   virtual bool next(StreamEvent& ev) = 0;
 
-  /// Clears `block`, advances up to min(max_steps, block.capacity())
+  /// Empties `block`, advances up to min(max_steps, block.capacity())
   /// budgeted steps, appending one row per step, and returns the number
   /// of steps taken (0 iff exhausted or max_steps == 0). The cursor
   /// state, RNG stream, emitted events and cost after next_batch are
   /// byte-identical to the same number of next() calls — batching
   /// amortizes dispatch, it never reorders draws.
   ///
-  /// When the block chases its codegree column (stream/block.hpp), the
-  /// steps are taken kCodegreeChunkRows at a time, each stride published
-  /// to the pool workers filling it; the rows are the same as one
-  /// append_batch call's, because the steps never depend on how a fill
-  /// is cut.
+  /// When the block chases the fill (stream/block.hpp: its codegree
+  /// column, its followers' folds), the steps are taken
+  /// kCodegreeChunkRows at a time, each stride published to the pool
+  /// workers following it; the rows are the same as one append_batch
+  /// call's, because the steps never depend on how a fill is cut. Throws
+  /// std::logic_error, taking no step, when a follower of the block did
+  /// not ingest its last chased fill.
   std::size_t next_batch(
       StreamEventBlock& block,
       std::size_t max_steps = std::numeric_limits<std::size_t>::max());

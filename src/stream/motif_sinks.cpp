@@ -19,14 +19,15 @@ constexpr std::uint8_t kHasEdge = StreamEventBlock::kHasEdge;
 
 // ------------------------------------------------------------ TriangleSink
 
-TriangleSink::TriangleSink(const Graph& g) : graph_(&g) {}
+TriangleSink::TriangleSink(const Graph& g)
+    : EstimatorSink(g, kReadsCodegree), graph_(&g) {}
 
-void TriangleSink::ingest_block(const StreamEventBlock& block) {
-  const std::size_t sz = block.size();
-  const std::uint8_t* flags = block.flags().data();
-  const std::uint32_t* deg = block.deg_v().data();
-  const std::uint32_t* f = block.codegree(*graph_).data();
-  for (std::size_t i = 0; i < sz; ++i) {
+void TriangleSink::fold_rows(const BlockRows& rows, std::size_t begin,
+                             std::size_t end) {
+  const std::uint8_t* flags = rows.flags;
+  const std::uint32_t* deg = rows.deg_v;
+  const std::uint32_t* f = rows.codegree;
+  for (std::size_t i = begin; i < end; ++i) {
     if (!(flags[i] & kHasEdge)) continue;
     shared_sum_ += f[i];
     wedge_sum_ += deg[i] - 1;
@@ -70,15 +71,16 @@ void TriangleSink::load_state(std::istream& is) {
 
 // ---------------------------------------------------------- ClusteringSink
 
-ClusteringSink::ClusteringSink(const Graph& g) : graph_(&g) {}
+ClusteringSink::ClusteringSink(const Graph& g)
+    : EstimatorSink(g, kReadsCodegree), graph_(&g) {}
 
-void ClusteringSink::ingest_block(const StreamEventBlock& block) {
-  const std::size_t sz = block.size();
-  const std::uint8_t* flags = block.flags().data();
-  const VertexId* u = block.u().data();
-  const std::uint32_t* codegree = block.codegree(*graph_).data();
+void ClusteringSink::fold_rows(const BlockRows& rows, std::size_t begin,
+                               std::size_t end) {
+  const std::uint8_t* flags = rows.flags;
+  const VertexId* u = rows.u;
+  const std::uint32_t* codegree = rows.codegree;
   const Graph& g = *graph_;
-  for (std::size_t i = 0; i < sz; ++i) {
+  for (std::size_t i = begin; i < end; ++i) {
     if (!(flags[i] & kHasEdge)) continue;
     ++n_;
     const std::uint32_t d = g.degree(u[i]);
@@ -143,7 +145,7 @@ void ClusteringSink::load_state(std::istream& is) {
   n_ = read_pod<std::uint64_t>(is);
   count_ = read_vector<std::uint64_t>(is);
   fsum_ = read_vector<std::uint64_t>(is);
-  // ingest_block grows both columns together; unequal lengths would make
+  // fold_rows grows both columns together; unequal lengths would make
   // it index past the shorter one.
   if (count_.size() != fsum_.size()) {
     throw IoError("stream checkpoint: corrupt clustering state");
@@ -187,13 +189,13 @@ void MotifSink::fold(VertexId u, VertexId v, std::uint32_t deg_v) {
   cycle8_ += cycles;
 }
 
-void MotifSink::ingest_block(const StreamEventBlock& block) {
-  const std::size_t sz = block.size();
-  const std::uint8_t* flags = block.flags().data();
-  const VertexId* u = block.u().data();
-  const VertexId* v = block.v().data();
-  const std::uint32_t* deg = block.deg_v().data();
-  for (std::size_t i = 0; i < sz; ++i) {
+void MotifSink::fold_rows(const BlockRows& rows, std::size_t begin,
+                          std::size_t end) {
+  const std::uint8_t* flags = rows.flags;
+  const VertexId* u = rows.u;
+  const VertexId* v = rows.v;
+  const std::uint32_t* deg = rows.deg_v;
+  for (std::size_t i = begin; i < end; ++i) {
     if (!(flags[i] & kHasEdge)) continue;
     fold(u[i], v[i], deg[i]);
   }

@@ -14,7 +14,7 @@
 // accumulators are integers and the final divisions are exact — which is
 // what tests/test_motif_sinks.cpp asserts.
 //
-// Bit-identity discipline matches sinks.hpp: ingest_block's state depends
+// Bit-identity discipline matches sinks.hpp: fold_rows's state depends
 // only on the row sequence, never on the block size; state snapshots
 // round-trip through save_state/load_state; and results are invariant to
 // FS_BLOCK and FS_THREADS (enforced by ctest and the CI fingerprint gate).
@@ -36,7 +36,6 @@ class TriangleSink final : public EstimatorSink {
  public:
   explicit TriangleSink(const Graph& g);
 
-  void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
@@ -51,6 +50,9 @@ class TriangleSink final : public EstimatorSink {
   [[nodiscard]] std::uint64_t edges_consumed() const noexcept { return n_; }
 
  private:
+  void fold_rows(const BlockRows& rows, std::size_t begin,
+                 std::size_t end) override;
+
   const Graph* graph_;
   std::uint64_t shared_sum_ = 0;  // Σ f(u, v)
   std::uint64_t wedge_sum_ = 0;   // Σ (deg(v) - 1)
@@ -67,7 +69,6 @@ class ClusteringSink final : public EstimatorSink {
  public:
   explicit ClusteringSink(const Graph& g);
 
-  void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
@@ -79,6 +80,9 @@ class ClusteringSink final : public EstimatorSink {
   [[nodiscard]] std::uint64_t edges_consumed() const noexcept { return n_; }
 
  private:
+  void fold_rows(const BlockRows& rows, std::size_t begin,
+                 std::size_t end) override;
+
   const Graph* graph_;
   double s_ = 0.0;    // Σ 1/deg(u) over deg(u) >= 2
   double num_ = 0.0;  // Σ f / (2 C(deg(u), 2))
@@ -110,7 +114,6 @@ class MotifSink final : public EstimatorSink {
  public:
   explicit MotifSink(const Graph& g);
 
-  void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
@@ -122,6 +125,9 @@ class MotifSink final : public EstimatorSink {
   [[nodiscard]] std::uint64_t edges_consumed() const noexcept { return n_; }
 
  private:
+  void fold_rows(const BlockRows& rows, std::size_t begin,
+                 std::size_t end) override;
+
   void fold(VertexId u, VertexId v, std::uint32_t deg_v);
 
   const Graph* graph_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "estimators/graph_moments.hpp"
 #include "stream/serialize.hpp"
@@ -63,20 +64,39 @@ void ingest_sample(EstimatorSink& sink, const Graph& g,
               });
 }
 
+// ----------------------------------------------------------- EstimatorSink
+
+EstimatorSink::~EstimatorSink() {
+  if (leader_ != nullptr) leader_->unfollow(*this);
+}
+
+void EstimatorSink::ingest_block(const StreamEventBlock& block) {
+  if (leader_ != &block) block.follow(*this);
+  const std::size_t folded = block.take_fold(*this);
+  if (folded < block.size()) {
+    BlockRows rows = block.rows();
+    if (reads_ & kReadsPick) rows.pick = block.pick(*reads_graph_).data();
+    if (reads_ & kReadsCodegree) {
+      rows.codegree = block.codegree(*reads_graph_).data();
+    }
+    fold_rows(rows, folded, block.size());
+  }
+}
+
 // ------------------------------------------------- DegreeDistributionSink
 
 DegreeDistributionSink::DegreeDistributionSink(const Graph& g, DegreeKind kind)
     : graph_(&g), kind_(kind) {}
 
-void DegreeDistributionSink::ingest_block(const StreamEventBlock& block) {
-  const std::size_t sz = block.size();
-  const std::uint8_t* flags = block.flags().data();
-  const std::uint32_t* deg = block.deg_v().data();
-  const VertexId* v = block.v().data();
+void DegreeDistributionSink::fold_rows(const BlockRows& rows,
+                                       std::size_t begin, std::size_t end) {
+  const std::uint8_t* flags = rows.flags;
+  const std::uint32_t* deg = rows.deg_v;
+  const VertexId* v = rows.v;
   const bool symmetric = kind_ == DegreeKind::kSymmetric;
   double s = s_;
   std::uint64_t n = n_;
-  for (std::size_t i = 0; i < sz; ++i) {
+  for (std::size_t i = begin; i < end; ++i) {
     if (!(flags[i] & kHasEdge)) continue;
     const double inv_deg = 1.0 / static_cast<double>(deg[i]);
     s += inv_deg;
@@ -132,12 +152,12 @@ VertexDensitySink::VertexDensitySink(const Graph& /*g*/,
   }
 }
 
-void VertexDensitySink::ingest_block(const StreamEventBlock& block) {
-  const std::size_t sz = block.size();
-  const std::uint8_t* flags = block.flags().data();
-  const std::uint32_t* deg = block.deg_v().data();
-  const VertexId* v = block.v().data();
-  for (std::size_t i = 0; i < sz; ++i) {
+void VertexDensitySink::fold_rows(const BlockRows& rows, std::size_t begin,
+                                  std::size_t end) {
+  const std::uint8_t* flags = rows.flags;
+  const std::uint32_t* deg = rows.deg_v;
+  const VertexId* v = rows.v;
+  for (std::size_t i = begin; i < end; ++i) {
     if (!(flags[i] & kHasEdge)) continue;
     const double inv_deg = 1.0 / static_cast<double>(deg[i]);
     s_ += inv_deg;
@@ -177,12 +197,12 @@ EdgeDensitySink::EdgeDensitySink(std::function<bool(const Edge&)> labeled,
   }
 }
 
-void EdgeDensitySink::ingest_block(const StreamEventBlock& block) {
-  const std::size_t sz = block.size();
-  const std::uint8_t* flags = block.flags().data();
-  const VertexId* u = block.u().data();
-  const VertexId* v = block.v().data();
-  for (std::size_t i = 0; i < sz; ++i) {
+void EdgeDensitySink::fold_rows(const BlockRows& rows, std::size_t begin,
+                                std::size_t end) {
+  const std::uint8_t* flags = rows.flags;
+  const VertexId* u = rows.u;
+  const VertexId* v = rows.v;
+  for (std::size_t i = begin; i < end; ++i) {
     if (!(flags[i] & kHasEdge)) continue;
     const Edge e{u[i], v[i]};
     if (!labeled_(e)) continue;
@@ -213,18 +233,19 @@ void EdgeDensitySink::load_state(std::istream& is) {
 
 // ------------------------------------------------------- AssortativitySink
 
-AssortativitySink::AssortativitySink(const Graph& g) : graph_(&g) {}
+AssortativitySink::AssortativitySink(const Graph& g)
+    : EstimatorSink(g, kReadsPick), graph_(&g) {}
 
-void AssortativitySink::ingest_block(const StreamEventBlock& block) {
-  const std::size_t sz = block.size();
-  const std::uint8_t* flags = block.flags().data();
-  const VertexId* u = block.u().data();
-  const VertexId* v = block.v().data();
+void AssortativitySink::fold_rows(const BlockRows& rows, std::size_t begin,
+                                  std::size_t end) {
+  const std::uint8_t* flags = rows.flags;
+  const VertexId* u = rows.u;
+  const VertexId* v = rows.v;
+  const std::uint32_t* pick = rows.pick;
   const Graph& g = *graph_;
-  const std::uint32_t* pick = block.pick(g).data();
   const EdgeIndex* offsets = g.offsets().data();
   const EdgeDir* dirs = g.direction_array().data();
-  for (std::size_t i = 0; i < sz; ++i) {
+  for (std::size_t i = begin; i < end; ++i) {
     if (!(flags[i] & kHasEdge)) continue;
     if (pick[i] == Graph::kNotAdjacent) continue;  // not an edge of g
     // (u,v) is labeled iff it is in E_d: forward or both ways.
@@ -256,12 +277,12 @@ GraphMomentsSink::GraphMomentsSink(const Graph& /*g*/, unsigned max_moment)
   }
 }
 
-void GraphMomentsSink::ingest_block(const StreamEventBlock& block) {
-  const std::size_t sz = block.size();
-  const std::uint8_t* flags = block.flags().data();
-  const std::uint32_t* deg_col = block.deg_v().data();
+void GraphMomentsSink::fold_rows(const BlockRows& rows, std::size_t begin,
+                                 std::size_t end) {
+  const std::uint8_t* flags = rows.flags;
+  const std::uint32_t* deg_col = rows.deg_v;
   const std::size_t moments = pow_sums_.size();
-  for (std::size_t i = 0; i < sz; ++i) {
+  for (std::size_t i = begin; i < end; ++i) {
     if (!(flags[i] & kHasEdge)) continue;
     const double deg = static_cast<double>(deg_col[i]);
     s_ += 1.0 / deg;
@@ -325,12 +346,12 @@ void GraphMomentsSink::load_state(std::istream& is) {
 
 UniformDegreeSink::UniformDegreeSink(const Graph& g) : graph_(&g) {}
 
-void UniformDegreeSink::ingest_block(const StreamEventBlock& block) {
-  const std::size_t sz = block.size();
-  const std::uint8_t* flags = block.flags().data();
-  const VertexId* vertex = block.vertex().data();
+void UniformDegreeSink::fold_rows(const BlockRows& rows, std::size_t begin,
+                                  std::size_t end) {
+  const std::uint8_t* flags = rows.flags;
+  const VertexId* vertex = rows.vertex;
   const Graph& g = *graph_;
-  for (std::size_t i = 0; i < sz; ++i) {
+  for (std::size_t i = begin; i < end; ++i) {
     if (!(flags[i] & kHasVertex)) continue;
     deg_sum_ += static_cast<double>(g.degree(vertex[i]));
     ++n_;

@@ -1,13 +1,26 @@
 // Online estimator sinks: fold StreamEventBlocks incrementally so a crawl
 // at any budget B uses O(max_degree + buckets) memory instead of O(B).
 //
-// Each sink's ingest_block is its estimand's only fold: StreamEngine feeds
-// it a cursor's blocks, and the batch estimators in estimators/ are
-// adapters that fold a materialized sample through ingest_sample() below.
-// The state depends only on the row sequence, so both paths agree bit for
-// bit at every block capacity (tests/test_stream_sinks.cpp). Sinks
-// serialize their numeric state for checkpoint/resume; closures (label
-// predicates) are not stored — the caller re-binds them on reconstruction.
+// Each sink's fold_rows is its estimand's only fold, and ingest_block is
+// the one entry over it: StreamEngine feeds it a cursor's blocks, and the
+// batch estimators in estimators/ are adapters that fold a materialized
+// sample through ingest_sample() below. The state depends only on the row
+// sequence, so both paths agree bit for bit at every block capacity
+// (tests/test_stream_sinks.cpp). Sinks serialize their numeric state for
+// checkpoint/resume; closures (label predicates) are not stored — the
+// caller re-binds them on reconstruction.
+//
+// A sink that ingests a cursor fill follows the block (stream/block.hpp):
+// from then on, a chased fill is folded into it by a pool worker, chunk
+// by chunk in row order while the cursor writes, and its next
+// ingest_block only waits for the tail. Unchased fills (FS_THREADS=1, an
+// owned pool, fills under 2 * kMinRowsPerWorker rows, hand-filled blocks)
+// are folded on the caller through the same fold_rows, so the bytes are
+// the same either way. Hence a fold may run on a pool thread, one thread
+// at a time, and a label predicate must not race with the caller; and a
+// follower's state is read, saved or loaded, and the follower destroyed,
+// only after it has ingested the fill (or its block was cleared or
+// destroyed: StreamEngine destroys its block before its sinks).
 #pragma once
 
 #include <cstdint>
@@ -30,15 +43,20 @@ namespace frontier {
 /// Incremental estimator fed one StreamEventBlock at a time.
 class EstimatorSink {
  public:
-  virtual ~EstimatorSink() = default;
+  /// Leaves the block it follows. A chase must not be folding into it
+  /// (see the file comment): its derived part is already gone here.
+  virtual ~EstimatorSink();
 
   /// Folds every row of `block` in order, skipping rows without the
   /// observation the estimand needs (edge or vertex flag). The state
   /// depends only on the row sequence, never on how it was cut into
   /// blocks. Contract: the block's deg_v column must be the symmetric
   /// degree of v in this sink's graph, which holds for every block
-  /// produced by a cursor over that graph.
-  virtual void ingest_block(const StreamEventBlock& block) = 0;
+  /// produced by a cursor over that graph. On a cursor fill the sink
+  /// follows the block, as the file comment says; it then throws
+  /// std::logic_error if it did not ingest a chased fill of the block it
+  /// followed before, and rethrows what its fold threw on a pool worker.
+  void ingest_block(const StreamEventBlock& block);
 
   /// Stable identifier, stored in checkpoints and verified on load.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
@@ -46,6 +64,33 @@ class EstimatorSink {
   /// Serializes / restores the accumulated numeric state.
   virtual void save_state(std::ostream& os) const = 0;
   virtual void load_state(std::istream& is) = 0;
+
+ protected:
+  /// The derived block columns a fold reads, for `graph`.
+  static constexpr std::uint8_t kReadsPick = 1;
+  static constexpr std::uint8_t kReadsCodegree = 2;
+
+  EstimatorSink() = default;
+  EstimatorSink(const Graph& graph, std::uint8_t reads) noexcept
+      : reads_graph_(&graph), reads_(reads) {}
+  // A block holds its followers' addresses.
+  EstimatorSink(const EstimatorSink&) = delete;
+  EstimatorSink& operator=(const EstimatorSink&) = delete;
+
+ private:
+  friend class StreamEventBlock;
+
+  /// Folds rows [begin, end) of `rows`, in order: the estimand's
+  /// arithmetic. `rows` carries the derived columns the constructor
+  /// named, for its graph.
+  virtual void fold_rows(const BlockRows& rows, std::size_t begin,
+                         std::size_t end) = 0;
+
+  const Graph* reads_graph_ = nullptr;
+  std::uint8_t reads_ = 0;
+  // The block this sink follows; written by the block, on its owner's
+  // thread.
+  mutable const StreamEventBlock* leader_ = nullptr;
 };
 
 /// Streaming eq.-7 degree distribution (and CCDF): a histogram of
@@ -54,7 +99,6 @@ class DegreeDistributionSink final : public EstimatorSink {
  public:
   DegreeDistributionSink(const Graph& g, DegreeKind kind);
 
-  void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
@@ -66,6 +110,9 @@ class DegreeDistributionSink final : public EstimatorSink {
   [[nodiscard]] std::uint64_t edges_consumed() const noexcept { return n_; }
 
  private:
+  void fold_rows(const BlockRows& rows, std::size_t begin,
+                 std::size_t end) override;
+
   const Graph* graph_;
   DegreeKind kind_;
   std::vector<double> weighted_;  // Σ 1/deg(v_i) per degree bucket
@@ -80,7 +127,6 @@ class VertexDensitySink final : public EstimatorSink {
  public:
   VertexDensitySink(const Graph& g, std::function<bool(VertexId)> pred);
 
-  void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
@@ -89,6 +135,9 @@ class VertexDensitySink final : public EstimatorSink {
   [[nodiscard]] double value() const noexcept;
 
  private:
+  void fold_rows(const BlockRows& rows, std::size_t begin,
+                 std::size_t end) override;
+
   std::function<bool(VertexId)> pred_;
   double s_ = 0.0;
   double weighted_hits_ = 0.0;
@@ -101,7 +150,6 @@ class EdgeDensitySink final : public EstimatorSink {
   EdgeDensitySink(std::function<bool(const Edge&)> labeled,
                   std::function<bool(const Edge&)> has_label);
 
-  void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
@@ -110,6 +158,9 @@ class EdgeDensitySink final : public EstimatorSink {
   [[nodiscard]] double value() const noexcept;
 
  private:
+  void fold_rows(const BlockRows& rows, std::size_t begin,
+                 std::size_t end) override;
+
   std::function<bool(const Edge&)> labeled_;
   std::function<bool(const Edge&)> has_label_;
   std::uint64_t b_star_ = 0;
@@ -122,7 +173,6 @@ class AssortativitySink final : public EstimatorSink {
  public:
   explicit AssortativitySink(const Graph& g);
 
-  void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
@@ -134,6 +184,9 @@ class AssortativitySink final : public EstimatorSink {
   }
 
  private:
+  void fold_rows(const BlockRows& rows, std::size_t begin,
+                 std::size_t end) override;
+
   const Graph* graph_;
   AssortativityAccumulator acc_;
 };
@@ -148,7 +201,6 @@ class GraphMomentsSink final : public EstimatorSink {
   /// degrees come from the block's deg_v column (degrees in `g`).
   explicit GraphMomentsSink(const Graph& g, unsigned max_moment = 3);
 
-  void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
@@ -166,6 +218,9 @@ class GraphMomentsSink final : public EstimatorSink {
   }
 
  private:
+  void fold_rows(const BlockRows& rows, std::size_t begin,
+                 std::size_t end) override;
+
   std::vector<double> pow_sums_;  // Σ deg^(k-1) for k = 1..max_moment
   double s_ = 0.0;                // Σ 1/deg
   std::uint64_t n_ = 0;
@@ -178,7 +233,6 @@ class UniformDegreeSink final : public EstimatorSink {
  public:
   explicit UniformDegreeSink(const Graph& g);
 
-  void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
@@ -188,6 +242,9 @@ class UniformDegreeSink final : public EstimatorSink {
   [[nodiscard]] std::uint64_t vertices_consumed() const noexcept { return n_; }
 
  private:
+  void fold_rows(const BlockRows& rows, std::size_t begin,
+                 std::size_t end) override;
+
   const Graph* graph_;
   double deg_sum_ = 0.0;
   std::uint64_t n_ = 0;

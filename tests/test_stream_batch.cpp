@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -281,6 +284,60 @@ TEST(StreamBatch, SinkStateIndependentOfBlockCapacity) {
     EXPECT_EQ(drive(k, mh), mh_state) << "MH K=" << k;
     EXPECT_EQ(drive(k, rwj), rwj_state) << "RWJ K=" << k;
     EXPECT_EQ(drive(k, fs), fs_state) << "FS K=" << k;
+  }
+}
+
+/// Engines pumped from several threads at once race for the worker pool:
+/// a fill whose chase loses the claim folds on its caller, a fill that
+/// wins folds on the pool, and every engine ends in the state of its
+/// serial run (block capacity 1: no chase, every fold on the caller).
+TEST(StreamBatch, EnginesOnSeveralThreadsMatchTheirSerialRuns) {
+  const Graph g = test_graph();
+  constexpr std::uint64_t kSteps = 6 * 4096 + 555;
+  const std::vector<std::function<std::unique_ptr<SamplerCursor>()>> cursors =
+      {[&] {
+         return std::make_unique<FrontierCursor>(
+             g, FrontierSampler::Config{.dimension = 16, .steps = kSteps},
+             Rng(51));
+       },
+       [&] {
+         return std::make_unique<MetropolisCursor>(
+             g, MetropolisHastingsWalk::Config{.steps = kSteps}, Rng(52));
+       },
+       [&] {
+         return std::make_unique<RwjCursor>(
+             g,
+             RandomWalkWithJumps::Config{.budget = double(kSteps),
+                                         .jump_probability = 0.15},
+             Rng(53));
+       },
+       [&] {
+         return std::make_unique<FrontierCursor>(
+             g, FrontierSampler::Config{.dimension = 4, .steps = kSteps},
+             Rng(54));
+       }};
+  const auto run = [&](std::size_t i, std::size_t k) {
+    StreamEngine engine(cursors[i](), make_sinks(g), k);
+    engine.run_to_completion();
+    std::ostringstream os;
+    for (const auto& sink : engine.sinks()) sink->save_state(os);
+    return os.str();
+  };
+  std::vector<std::string> serial;
+  for (std::size_t i = 0; i < cursors.size(); ++i) serial.push_back(run(i, 1));
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::string> got(cursors.size());
+    std::atomic<std::size_t> ready{0};
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < cursors.size(); ++i) {
+      threads.emplace_back([&, i] {
+        ++ready;
+        while (ready < cursors.size()) std::this_thread::yield();
+        got[i] = run(i, 4096);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(got, serial) << "round " << round;
   }
 }
 

@@ -15,12 +15,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -31,6 +37,7 @@
 #include "stream/motif_sinks.hpp"
 #include "stream/sampler_cursors.hpp"
 #include "stream/sinks.hpp"
+#include "stream/spec.hpp"
 
 namespace frontier {
 namespace {
@@ -610,6 +617,361 @@ TEST(StreamBlockPick, RederivedAfterAForeignReadAndOnAppends) {
   block.push_edge(w, u, g.degree(u));
   expect_all(g);
   expect_all(other);
+}
+
+
+// -------------------------------------------------------------- followers
+
+// The crawl roster with the motif census: the six default sinks and
+// MotifSink, in CrawlSpec order.
+SinkSet roster(const Graph& g) {
+  CrawlSpec spec;
+  spec.motifs = true;
+  return spec.make_sinks(g);
+}
+
+std::string states(const SinkSet& sinks) {
+  std::string out;
+  for (const auto& s : sinks) out += state_of(*s);
+  return out;
+}
+
+void ingest_all(const SinkSet& sinks, const StreamEventBlock& block) {
+  for (const auto& s : sinks) s->ingest_block(block);
+}
+
+// The block's rows pushed by hand into `to`: a hand fill, which every
+// sink folds on the caller, so it is the serial reference for the rows.
+void copy_rows(const StreamEventBlock& from, StreamEventBlock& to) {
+  to.clear();
+  for (std::size_t i = 0; i < from.size(); ++i) {
+    const std::uint8_t f = from.flags()[i];
+    const bool edge = (f & StreamEventBlock::kHasEdge) != 0;
+    const bool vertex = (f & StreamEventBlock::kHasVertex) != 0;
+    if (edge && vertex) {
+      to.push_edge_vertex(from.u()[i], from.v()[i], from.deg_v()[i],
+                          from.vertex()[i]);
+    } else if (edge) {
+      to.push_edge(from.u()[i], from.v()[i], from.deg_v()[i]);
+    } else if (vertex) {
+      to.push_vertex(from.vertex()[i]);
+    } else {
+      to.push_empty();
+    }
+  }
+}
+
+struct Crawl {
+  std::string states;
+  std::size_t fills = 0;
+  std::size_t chased = 0;
+};
+
+// Steps `spec`'s cursor through a block of capacity k and its roster, in
+// StreamEngine::pump's order, until the cursor runs dry; a dry fill owes
+// nothing, so a second one must not throw.
+Crawl crawl(const CrawlSpec& spec, const Graph& g, std::size_t k) {
+  const auto cursor = spec.make_cursor(g);
+  const SinkSet sinks = roster(g);
+  StreamEventBlock block(k);
+  Crawl out;
+  while (cursor->next_batch(block) > 0) {
+    ++out.fills;
+    out.chased += block.chasing() ? 1 : 0;
+    ingest_all(sinks, block);
+  }
+  EXPECT_EQ(cursor->next_batch(block), 0u);
+  out.states = states(sinks);
+  return out;
+}
+
+CrawlSpec follow_spec(const char* method) {
+  CrawlSpec spec;
+  spec.method = method;
+  spec.budget = 5 * 4096 + 777;
+  spec.seed = 23;
+  return spec.normalized();
+}
+
+TEST(StreamBlockFollow, ChasedFoldsEqualCallerFolds) {
+  // ctest runs this binary at FS_THREADS 1 to 4: no worker, one worker
+  // that both fills codegree and folds, then one folder beside one or two
+  // fillers. Every fill after the first that asks for at least 2048 rows
+  // is chased; 2047 rows never is, nor is a one-row block, the reference.
+  const Graph g = chase_graph();
+  for (const char* method : {"fs", "mh"}) {
+    const CrawlSpec spec = follow_spec(method);
+    const Crawl reference = crawl(spec, g, 1);
+    EXPECT_EQ(reference.chased, 0u);
+    for (const std::size_t k : {2047, 2048, 4096}) {
+      SCOPED_TRACE(std::string(method) + " K=" + std::to_string(k));
+      const Crawl run = crawl(spec, g, k);
+      EXPECT_EQ(run.states, reference.states);
+      EXPECT_EQ(run.chased, chases(k) ? run.fills - 1 : 0);
+    }
+  }
+}
+
+TEST(StreamBlockFollow, FillThatLosesThePoolFoldsOnTheCaller) {
+  // Another thread's running call owns the pool, so the fills started
+  // meanwhile cannot claim it: they are not chased, and their followers
+  // fold them on the caller. Once the pool is free, fills chase again.
+  const Graph g = chase_graph();
+  const CrawlSpec spec = follow_spec("fs");
+  const Crawl reference = crawl(spec, g, 1);
+  const auto cursor = spec.make_cursor(g);
+  const SinkSet sinks = roster(g);
+  StreamEventBlock block(4096);
+  ASSERT_EQ(cursor->next_batch(block), 4096u);
+  ingest_all(sinks, block);  // registers the followers
+
+  std::atomic<bool> inside{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    parallel_for_ranges(2, 2, [&](std::size_t w, std::size_t, std::size_t) {
+      if (w != 0) return;
+      inside = true;
+      while (!release) std::this_thread::yield();
+    });
+  });
+  while (!inside) std::this_thread::yield();
+  for (int b = 0; b < 2; ++b) {
+    ASSERT_EQ(cursor->next_batch(block), 4096u);
+    EXPECT_FALSE(block.chasing());
+    ingest_all(sinks, block);
+  }
+  release = true;
+  holder.join();
+  std::size_t fills = 0;
+  std::size_t chased = 0;
+  while (cursor->next_batch(block) > 0) {
+    ++fills;
+    chased += block.chasing() ? 1 : 0;
+    ingest_all(sinks, block);
+  }
+  ASSERT_GT(fills, 0u);
+  EXPECT_EQ(chased, chases(4096) ? fills : 0);
+  EXPECT_EQ(states(sinks), reference.states);
+}
+
+// A test-only sink that counts the rows it folds and throws on row
+// `throw_at`.
+class CountingSink final : public EstimatorSink {
+ public:
+  explicit CountingSink(
+      std::uint64_t throw_at = std::numeric_limits<std::uint64_t>::max())
+      : throw_at_(throw_at) {}
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "counting";
+  }
+  void save_state(std::ostream& os) const override { os << rows_; }
+  void load_state(std::istream& is) override { is >> rows_; }
+  [[nodiscard]] std::uint64_t rows() const noexcept { return rows_; }
+
+ private:
+  void fold_rows(const BlockRows& /*rows*/, std::size_t begin,
+                 std::size_t end) override {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (rows_ == throw_at_) throw std::runtime_error("fold failed");
+      ++rows_;
+    }
+  }
+
+  std::uint64_t throw_at_;
+  std::uint64_t rows_ = 0;
+};
+
+TEST(StreamBlockFollow, FoldThatThrowsSurfacesFromItsIngest) {
+  const Graph g = chase_graph();
+  const auto cursor = chase_cursor(g, 4 * 4096);
+  const SinkSet sinks = roster(g);
+  const SinkSet mirror = roster(g);
+  CountingSink thrower(4096 + 1000);  // inside the second fill
+  StreamEventBlock block(4096);
+  StreamEventBlock copy(4096);
+  ASSERT_EQ(cursor->next_batch(block), 4096u);
+  thrower.ingest_block(block);
+  ingest_all(sinks, block);
+  copy_rows(block, copy);
+  ingest_all(mirror, copy);
+  // Chased where there are workers: the fold worker folds into every
+  // follower, and the thrower's fold stops at its throw.
+  ASSERT_EQ(cursor->next_batch(block), 4096u);
+  EXPECT_EQ(block.chasing(), chases(4096));
+  EXPECT_THROW(thrower.ingest_block(block), std::runtime_error);
+  EXPECT_FALSE(block.chasing());
+  EXPECT_EQ(thrower.rows(), 4096u + 1000u);
+  // The other followers' folds are whole.
+  ingest_all(sinks, block);
+  copy_rows(block, copy);
+  ingest_all(mirror, copy);
+  EXPECT_EQ(states(sinks), states(mirror));
+  // Reusable after clear(): its fills chase again (the triangle sinks
+  // read its codegree), and the sinks follow it again.
+  block.clear();
+  for (int b = 0; b < 2; ++b) {
+    ASSERT_EQ(cursor->next_batch(block), 4096u);
+    EXPECT_EQ(block.chasing(), chases(4096));
+    ingest_all(sinks, block);
+    copy_rows(block, copy);
+    ingest_all(mirror, copy);
+  }
+  EXPECT_EQ(states(sinks), states(mirror));
+}
+
+TEST(StreamBlockFollow, ClearOrDestroyMidChaseReturns) {
+  // The fill is stopped with folds in flight, the fold worker waiting on
+  // codegree chunks (the roster's triangle sinks read them). Each
+  // follower keeps a prefix of the fill in whole chunks.
+  const Graph g = chase_graph();
+  const auto cursor = chase_cursor(g, 10 * 4096);
+  const SinkSet sinks = roster(g);
+  CountingSink counter;
+  {
+    StreamEventBlock block(4096);
+    for (int round = 0; round < 2; ++round) {
+      ASSERT_EQ(cursor->next_batch(block), 4096u);
+      counter.ingest_block(block);
+      ingest_all(sinks, block);
+      const std::uint64_t before = counter.rows();
+      ASSERT_EQ(cursor->next_batch(block), 4096u);
+      EXPECT_EQ(block.chasing(), chases(4096));
+      block.clear();
+      EXPECT_FALSE(block.chasing());
+      const std::uint64_t kept = counter.rows() - before;
+      EXPECT_LE(kept, 4096u);
+      EXPECT_EQ(kept % kCodegreeChunkRows, 0u);
+      if (!chases(4096)) EXPECT_EQ(kept, 0u);
+    }
+    ASSERT_EQ(cursor->next_batch(block), 4096u);
+    counter.ingest_block(block);
+    ingest_all(sinks, block);
+    ASSERT_EQ(cursor->next_batch(block), 4096u);
+    EXPECT_EQ(block.chasing(), chases(4096));
+  }  // destroyed mid-chase
+  // The followers outlive the block and follow the next one.
+  StreamEventBlock next(4096);
+  for (int b = 0; b < 2; ++b) {
+    ASSERT_EQ(cursor->next_batch(next), 4096u);
+    EXPECT_EQ(next.chasing(), b == 1 && chases(4096));
+    counter.ingest_block(next);
+    ingest_all(sinks, next);
+  }
+}
+
+// A cursor that pushes uniform edge rows, with their picks, and throws at
+// step `fail_at`.
+class FailingCursor final : public SamplerCursor {
+ public:
+  FailingCursor(const Graph& g, std::uint64_t fail_at)
+      : SamplerCursor(g, Rng(31)), fail_at_(fail_at) {}
+
+  bool next(StreamEvent& /*ev*/) override { return false; }
+  [[nodiscard]] bool done() const noexcept override { return false; }
+  [[nodiscard]] double cost() const noexcept override {
+    return static_cast<double>(steps_);
+  }
+  [[nodiscard]] CursorKind kind() const noexcept override {
+    return CursorKind::kFrontier;
+  }
+  void save_state(std::ostream& /*os*/) const override {}
+  void load_state(std::istream& /*is*/) override {}
+
+ protected:
+  std::size_t append_batch(StreamEventBlock& block,
+                           std::size_t max_steps) override {
+    const Graph& g = *graph_;
+    const std::size_t n = std::min(max_steps, block.room());
+    for (std::size_t i = 0; i < n; ++i) {
+      if (steps_ == fail_at_) throw std::runtime_error("cursor failed");
+      ++steps_;
+      const auto u = static_cast<VertexId>(uniform_index(rng_, g.num_vertices()));
+      const auto k = static_cast<std::uint32_t>(uniform_index(rng_, g.degree(u)));
+      const VertexId v = g.neighbors(u)[k];
+      block.push_edge(u, v, g.degree(v), k);
+    }
+    return n;
+  }
+
+ private:
+  std::uint64_t fail_at_;
+  std::uint64_t steps_ = 0;
+};
+
+TEST(StreamBlockFollow, CursorThatThrowsMidFillLeavesTheRestToIngest) {
+  // The fill is abandoned 3000 rows in; the followers hold a prefix of it
+  // and still owe it, so the next fill is refused until each ingests the
+  // rows, which folds the rest on the caller.
+  const Graph g = chase_graph();
+  FailingCursor cursor(g, 4096 + 3000);
+  const SinkSet sinks = roster(g);
+  const SinkSet mirror = roster(g);
+  StreamEventBlock block(4096);
+  StreamEventBlock copy(4096);
+  ASSERT_EQ(cursor.next_batch(block), 4096u);
+  ingest_all(sinks, block);
+  copy_rows(block, copy);
+  ingest_all(mirror, copy);
+  EXPECT_THROW(cursor.next_batch(block), std::runtime_error);
+  EXPECT_FALSE(block.chasing());
+  ASSERT_EQ(block.size(), 3000u);
+  if (chases(4096)) {
+    EXPECT_THROW(cursor.next_batch(block), std::logic_error);
+    ASSERT_EQ(block.size(), 3000u);  // refused before any step
+  }
+  ingest_all(sinks, block);
+  copy_rows(block, copy);
+  ingest_all(mirror, copy);
+  EXPECT_EQ(states(sinks), states(mirror));
+}
+
+TEST(StreamBlockFollow, FollowerThatSkipsAChasedFillIsRefused) {
+  const Graph g = chase_graph();
+  const CrawlSpec spec = follow_spec("fs");
+  const Crawl reference = crawl(spec, g, 1);
+  const auto cursor = spec.make_cursor(g);
+  const SinkSet sinks = roster(g);
+  EstimatorSink& last = *sinks.back();
+  StreamEventBlock block(4096);
+  ASSERT_EQ(cursor->next_batch(block), 4096u);
+  ingest_all(sinks, block);
+  ASSERT_EQ(cursor->next_batch(block), 4096u);
+  for (std::size_t i = 0; i + 1 < sinks.size(); ++i) {
+    sinks[i]->ingest_block(block);
+  }
+  if (chases(4096)) {
+    // `last` owes the fill: no next fill, and no other block, until it
+    // ingests it.
+    const double cost = cursor->cost();
+    EXPECT_THROW(cursor->next_batch(block), std::logic_error);
+    EXPECT_EQ(cursor->cost(), cost);
+    const auto other_cursor = chase_cursor(g, 4096);
+    StreamEventBlock other(4096);
+    ASSERT_EQ(other_cursor->next_batch(other), 4096u);
+    EXPECT_THROW(last.ingest_block(other), std::logic_error);
+  }
+  last.ingest_block(block);
+  while (cursor->next_batch(block) > 0) ingest_all(sinks, block);
+  EXPECT_EQ(states(sinks), reference.states);
+}
+
+TEST(StreamBlockFollow, RowsAppendedAfterAChasedFillFoldOnTheCaller) {
+  const Graph g = chase_graph();
+  const auto cursor = chase_cursor(g, 3 * 4096);
+  const SinkSet sinks = roster(g);
+  const SinkSet mirror = roster(g);
+  StreamEventBlock block(4096 + 100);
+  StreamEventBlock copy(4096 + 100);
+  for (int b = 0; b < 2; ++b) {
+    ASSERT_EQ(cursor->next_batch(block, 4096), 4096u);
+    Rng rng(b);
+    fill(block, g, rng, 100);
+    ingest_all(sinks, block);
+    copy_rows(block, copy);
+    ingest_all(mirror, copy);
+  }
+  EXPECT_EQ(states(sinks), states(mirror));
 }
 
 }  // namespace

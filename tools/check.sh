@@ -70,19 +70,22 @@ if [ "$TSAN" -eq 1 ]; then
   cmake --build --preset tsan -j "$JOBS" --target \
     test_replication_runner test_metrics_registry test_obs_determinism \
     test_graph_storage test_distributed_fs test_metrics test_stream_block \
-    test_parallel test_stream_batch test_stream_checkpoint
+    test_parallel test_stream_batch test_stream_checkpoint test_stream_sinks \
+    test_motif_sinks
   # The concurrency-bearing subset: the replication work queue, the
   # sharded metrics registry, telemetry attach/detach during crawls, the
   # parallel edge-list parser / parallel sort, the walker shards of
   # ParallelFrontierSampler, the per-thread state of the intersection
   # kernel (its marks) and of the block's pick column, the codegree fill's
-  # row split and its chase of the cursor, the engines pumped through that
-  # chase, and the worker pool itself (nested and concurrent callers,
-  # thread reuse, background jobs).
+  # row split and its chase of the cursor, the sinks folded on a pool
+  # worker while the cursor writes (also at two and three threads, where
+  # one worker fills and folds or folds beside one filler), the engines
+  # pumped through that chase, and the worker pool itself (nested and
+  # concurrent callers, thread reuse, background jobs).
   # TSan's happens-before checking makes these meaningful; the rest of
   # the suite is single-threaded and already covered by ASan/UBSan.
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" --timeout 300 \
-    -R '^(test_replication_runner|test_metrics_registry|test_obs_determinism|test_graph_storage|test_distributed_fs|test_metrics|test_stream_block|test_parallel|test_stream_batch|test_stream_checkpoint)$'
+    -R '^(test_replication_runner|test_metrics_registry|test_obs_determinism|test_graph_storage|test_distributed_fs|test_metrics|test_stream_block(_threads[23])?|test_parallel|test_stream_batch(_threads[23])?|test_stream_checkpoint|test_stream_sinks|test_motif_sinks)$'
 fi
 
 if [ "$TIDY" -eq 1 ]; then
